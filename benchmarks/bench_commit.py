@@ -32,7 +32,7 @@ sweep` exposes on the command line:
   strictly below two-phase and presumed-abort at every nonzero
   failure rate, flattening as takeovers absorb the stalls;
 * EXP-RECOVERY — flush-cost x tail-loss on the failover workload
-  under the durability model: retained-lock time per commit grows
+  with costly log forces: retained-lock time per commit grows
   with both knobs, presumed-abort undercuts 2PC on reliable disks
   (no abort-decision forces), and Paxos Commit undercuts it on
   faulty ones (takeovers beat in-doubt inquiry stalls).
@@ -500,7 +500,7 @@ def test_partition_availability_report():
 # ----------------------------------------------------------------------
 
 # The failover workload again (hot, slow network, repairs 25 >> commit
-# timeout 3), now with a durability model: every force point stretches
+# timeout 3), now with costly log forces: every force point stretches
 # the prepared window by flush_time, and a crash that eats the newest
 # log record (tail loss) turns a would-be fast replay into an in-doubt
 # inquiry round — or re-executes the attempt outright. The metric is

@@ -1,13 +1,12 @@
 """Durable recovery: write-ahead logging under crashes and bad disks.
 
-The durability model (``repro.sim.durability``) replaces the
-simulator's idealized free WAL with a real one: every protocol force
-point — the participant's prepare record before its VOTE-YES, the
-coordinator's decision record before release fan-out, the Paxos
-acceptor's accept record before it registers a vote — costs a
-``flush_time``, and a crash truncates the site's volatile state to
-whatever its log actually holds. Recovery is replay, not magic: the
-site re-acquires exactly the log-implied retained locks, reconstructs
+Every site keeps a simulated write-ahead log (``repro.sim.durability``):
+every protocol force point — the participant's prepare record before
+its VOTE-YES, the coordinator's decision record before release
+fan-out, the Paxos acceptor's accept record before it registers a
+vote — costs a ``flush_time`` (free at the default 0; this demo pays
+0.5), and a crash truncates the site's volatile state to whatever its
+log actually holds. Recovery is replay: the site re-acquires exactly the log-implied retained locks, reconstructs
 its in-doubt set from prepare-without-decision records, and asks the
 coordinator (``cm_inquire``) until every in-doubt transaction is
 resolved — with presumed-abort answering unknown transactions "abort"

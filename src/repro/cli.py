@@ -337,14 +337,7 @@ def _add_network_args(p: argparse.ArgumentParser) -> None:
 
 
 def _durability_config(args: argparse.Namespace):
-    """Build a DurabilityConfig from CLI flags (None when unset).
-
-    ``--flush-time`` is the enabling flag: leaving it unset attaches
-    no durability model, keeping the no-flag run bit-identical to the
-    idealized-WAL simulator.
-    """
-    if args.flush_time is None:
-        return None
+    """Build the run's DurabilityConfig from CLI flags."""
     from repro.sim.durability import DurabilityConfig
 
     return DurabilityConfig(
@@ -358,18 +351,17 @@ def _durability_config(args: argparse.Namespace):
 def _add_durability_args(p: argparse.ArgumentParser) -> None:
     dur = p.add_argument_group(
         "durability",
-        "simulated write-ahead logging; without --flush-time no "
-        "durability model attaches and PREPARED state survives "
-        "crashes by fiat (the legacy idealization)",
+        "per-site write-ahead logs: the retaining commit protocols "
+        "force prepare and decision records, a crash truncates a site "
+        "to its log, and recovery replays it",
     )
     dur.add_argument(
         "--flush-time",
         type=float,
-        default=None,
+        default=0.0,
         metavar="T",
-        help="cost of one forced log write; giving this flag attaches "
-        "the durability model (crashes then truncate each site to its "
-        "log and recovery replays it)",
+        help="cost of one forced log write (default 0: forces are "
+        "free but still durable)",
     )
     dur.add_argument(
         "--tail-loss-rate",

@@ -29,13 +29,14 @@ past a warm-up window. A replica-control layer
 maps each logical entity to a replica set of sites and routes reads
 (shared locks) and writes (exclusive locks) through ``rowa``,
 ``rowa-available``, or ``quorum`` — failures then cost availability,
-which the run integrates per protocol. A durability model
-(:mod:`repro.sim.durability`, ``SimulationConfig(durability=
+which the run integrates per protocol. The durability layer
+(:mod:`repro.sim.durability`, tuned by ``SimulationConfig(durability=
 DurabilityConfig(...))``) gives each site a simulated write-ahead log:
-protocol force points cost real flush time, crashes truncate state to
-the log (with optional tail-loss / torn-write / amnesia faults), and
-recovery replays the log, re-acquires the log-implied locks, and
-resolves in-doubt transactions by protocol inquiry.
+protocol force points cost ``flush_time`` (free by default), crashes
+truncate state to the log (with optional tail-loss / torn-write /
+amnesia faults), and recovery replays the log, re-acquires the
+log-implied locks, and resolves in-doubt transactions by protocol
+inquiry.
 
 Every run records a trace of committed operations which replays as a
 legal :class:`repro.core.Schedule`, so runtime serializability is

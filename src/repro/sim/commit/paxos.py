@@ -24,16 +24,15 @@ to F simultaneous site failures:
    participants therefore stop blocking on a crashed coordinator —
    the stall 2PC cannot avoid (its retry handler can only wait).
 
-Acceptor state is durable across crashes; a *down* acceptor simply
-receives no messages, so votes addressed to it are lost until a
-retransmitted PREPARE makes the participant vote again. Without a
-durability model that durability is an assumption (the registry just
-persists in round state); with one (``config.durability``) it is
-earned — an acceptor forces an *accept* record before registering a
-vote, a takeover leader forces a *ballot* record before deposing the
-old one, and an amnesia log-wipe really does empty the site's
-registries (:meth:`PaxosCommit.on_durability_wipe`), which is exactly
-the failure the 2F+1 redundancy is there to mask.
+Acceptor state is durable across crashes because it is forced
+(:mod:`repro.sim.durability`): an acceptor forces an *accept* record
+before registering a vote, and a takeover leader forces a *ballot*
+record before deposing the old one. A *down* acceptor receives no
+messages, so votes addressed to it are lost until a retransmitted
+PREPARE makes the participant vote again, and an amnesia log-wipe
+really does empty the site's registries
+(:meth:`PaxosCommit.on_durability_wipe`) — exactly the failure the
+2F+1 redundancy is there to mask.
 
 Degeneracy contract, pinned by the golden-digest suite: with
 ``commit_fault_tolerance=0`` there is exactly one acceptor, co-located
@@ -203,9 +202,8 @@ class PaxosCommit(TwoPhaseCommit):
         if ballot != round.ballot:
             return  # a takeover re-armed the chain under a newer ballot
         if round.deciding:
-            # The decision record is mid-flush (durability model):
-            # keep the chain alive so a crash-cancelled flush is
-            # re-driven.
+            # The decision record is mid-flush: keep the chain alive
+            # so a crash-cancelled flush is re-driven.
             sim.schedule(
                 sim.config.commit_timeout,
                 ("cm_retry", txn, attempt, ballot),
@@ -223,14 +221,10 @@ class PaxosCommit(TwoPhaseCommit):
                     ("cm_retry", txn, attempt, ballot),
                 )
                 return
-            dur = sim.durability
-            if dur is None:
-                self._takeover(txn, round, attempt, new_leader)
-                return
             # The new leader forces its ballot record before deposing
             # the old one; a crash mid-flush re-arms the old chain so
             # the next retry rotates again.
-            dur.force(
+            sim.durability.force(
                 new_leader,
                 ("ballot", txn, attempt, round.ballot + 1),
                 lambda: self._takeover_if_current(
@@ -331,8 +325,8 @@ class PaxosCommit(TwoPhaseCommit):
     def _send_votes(self, txn: int, site: str, attempt: int,
                     round: _PaxosRound) -> None:
         """The participant's yes-vote goes to *every* acceptor, not
-        just the leader (the inherited ``_on_prepare`` — and, under a
-        durability model, the prepare-record force — is unchanged)."""
+        just the leader (the inherited ``_on_prepare`` and its
+        prepare-record force are unchanged)."""
         for acceptor in round.acceptors:
             self._send_acceptor_to(
                 site, acceptor,
@@ -347,15 +341,15 @@ class PaxosCommit(TwoPhaseCommit):
         sim = self.sim
         if not sim.site_is_up(acceptor):
             return  # vote lost at a down acceptor; a re-vote refills it
-        dur = sim.durability
-        if dur is None or site in round.accepted[acceptor]:
-            # No log — or a re-vote the acceptor already durably
-            # registered: register/relay without a second force.
+        if site in round.accepted[acceptor]:
+            # A re-vote the acceptor already durably registered:
+            # register/relay without a second force.
             self._register_vote(txn, round, acceptor, site, attempt)
             return
         # The acceptor forces its accept record before registering:
         # what phase 1 reads after a crash must be what was promised.
         record = ("accept", txn, attempt, site)
+        dur = sim.durability
         if dur.flush_pending(acceptor, record):
             return  # a duplicate vote's force is still in flight
         dur.force(

@@ -12,13 +12,13 @@ times. The commit path is unchanged — commits must still be
 acknowledged before the coordinator can forget the transaction.
 
 Forced-log-write savings — the other half of the optimisation — are
-modelled too once a durability model is attached
-(``SimulationConfig.durability``): with ``notify_on_abort = False``
-the coordinator skips the forced abort record that plain 2PC pays a
-``flush_time`` for (absent records *are* the abort decision), and a
-recovered in-doubt participant's ``cm_inquire`` about an unknown
-transaction is answered "abort" straight from that absence. Without a
-durability model there is no disk and only the message savings apply.
+modelled too (:mod:`repro.sim.durability`): with ``notify_on_abort =
+False`` the coordinator skips the forced abort record that plain 2PC
+pays a ``flush_time`` for (absent records *are* the abort decision),
+and a recovered in-doubt participant's ``cm_inquire`` about an
+unknown transaction is answered "abort" straight from that absence.
+At the default ``flush_time`` 0 the skipped force costs nothing, so
+only the message savings show in the timings.
 """
 
 from __future__ import annotations

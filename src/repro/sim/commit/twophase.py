@@ -27,28 +27,27 @@ Failures make it interesting (see :mod:`repro.sim.failures`):
   participants keep their locks and conflicting transactions block on
   the coordinator's recovery (``prepared_block_time``);
 * a commit decision addressed to a down participant is retransmitted
-  until the site recovers, so retained locks outlive the crash — the
-  classic blocked-participant window of 2PC.
+  until the site recovers, and recovery replay re-acquires the locks
+  its prepare record retains — the classic blocked-participant window
+  of 2PC.
 
 The PREPARED window also bends the contention policies: a prepared
 holder can no longer be wounded (the runtime downgrades ABORT_HOLDER
 to WAIT_PREPARED), which is sound because a decision always arrives in
 finite time.
 
-With a durability model attached (``config.durability``), the round
-additionally observes the protocol's classic force points
+The round observes the protocol's classic force points
 (:mod:`repro.sim.durability`): a participant forces a *prepare* record
 before VOTE-YES, the coordinator forces the *decision* record before
 the release fan-out, and a participant forces the decision before
-releasing and ACKing — each force costing ``flush_time`` on that
-site's timeline. Crash-recovered participants resolve their in-doubt
-transactions by inquiry: ``cm_inquire`` asks the coordinator, which
-answers with a decision (``cm_status``), re-PREPAREs a still-open
-round, or reports abort; a participant that lost its volatile state
-before its prepare record became durable answers PREPARE with
-``cm_refuse``, aborting the round. With the field unset (`sim.
-durability is None`) every handler takes its original branch — the
-pre-durability instruction stream, bit for bit.
+releasing and ACKing — each force costing ``config.durability.
+flush_time`` on that site's timeline (nothing at the default 0).
+Crash-recovered participants resolve their in-doubt transactions by
+inquiry: ``cm_inquire`` asks the coordinator, which answers with a
+decision (``cm_status``), re-PREPAREs a still-open round, or reports
+abort; a participant that lost its volatile state before its prepare
+record became durable answers PREPARE with ``cm_refuse``, aborting
+the round.
 """
 
 from __future__ import annotations
@@ -76,9 +75,9 @@ class _Round:
         self.votes: set[str] = set()
         self.decided = False
         # True while the coordinator's decision record is being
-        # flushed (durability model only): the outcome is chosen but
-        # not yet durable, so no competing decision may start and no
-        # inquiry may be answered with the opposite verdict.
+        # flushed: the outcome is chosen but not yet durable, so no
+        # competing decision may start and no inquiry may be answered
+        # with the opposite verdict.
         self.deciding = False
 
 
@@ -99,9 +98,6 @@ class TwoPhaseCommit(CommitProtocol):
         sim.register_handler("cm_vote", self._on_vote)
         sim.register_handler("cm_retry", self._on_retry)
         sim.register_handler("cm_release", self._on_release)
-        # Recovery-inquiry events: only ever sent under a durability
-        # model, but registered unconditionally (registration is free
-        # and keeps the handler table uniform).
         sim.register_handler("cm_inquire", self._on_inquire)
         sim.register_handler("cm_status", self._on_status)
         sim.register_handler("cm_refuse", self._on_refuse)
@@ -174,32 +170,43 @@ class TwoPhaseCommit(CommitProtocol):
             self._decide_commit(txn, round)
 
     def _decide_commit(self, txn: int, round: _Round) -> None:
-        dur = self.sim.durability
-        if dur is None:
-            self._apply_commit(txn, round)
+        self._force_decision(txn, round, "commit", self._apply_commit)
+
+    def _decide_abort(self, txn: int, round: _Round) -> None:
+        if not self.notify_on_abort:
+            # Presumed-abort's whole optimisation: aborts are never
+            # logged — absent records read as ABORT, so no force.
+            self._apply_abort(txn, round)
             return
+        self._force_decision(txn, round, "abort", self._apply_abort)
+
+    def _force_decision(
+        self, txn: int, round: _Round, verdict: str, apply_decision
+    ) -> None:
+        """Force the decision record at the coordinator, then apply it.
+
+        A coordinator crash mid-flush cancels the force (the decision
+        was never taken); the cancel re-arms the retry chain, which
+        re-drives the decision after recovery — the retry branches
+        that reach a decide consume the chain, so without the re-arm
+        a crash here would orphan the round.
+        """
         if round.deciding or round.decided:
             return
-        # Force the commit record at the coordinator before anything
-        # irreversible happens. A coordinator crash mid-flush cancels
-        # it (the decision was never taken); the cancel re-arms the
-        # retry chain, which re-drives the decision after recovery —
-        # the retry branches that reach a decide consume the chain, so
-        # without the re-arm a crash here would orphan the round.
         round.deciding = True
 
         def apply() -> None:
             round.deciding = False
             if not round.decided:
-                self._apply_commit(txn, round)
+                apply_decision(txn, round)
 
         def cancel() -> None:
             round.deciding = False
             self._rearm_retry(txn, round)
 
-        dur.force(
+        self.sim.durability.force(
             round.coordinator,
-            ("decision", txn, round.attempt, "commit"),
+            ("decision", txn, round.attempt, verdict),
             apply, cancel,
         )
 
@@ -215,33 +222,6 @@ class TwoPhaseCommit(CommitProtocol):
             # The participant's ACK is counted when it actually
             # processes the decision (see _on_release) — a down
             # participant has not acknowledged anything yet.
-
-    def _decide_abort(self, txn: int, round: _Round) -> None:
-        dur = self.sim.durability
-        if dur is None or not self.notify_on_abort:
-            # No durability model — or presumed-abort, whose whole
-            # optimisation is that aborts are never logged: absent
-            # records read as ABORT, so no force is needed.
-            self._apply_abort(txn, round)
-            return
-        if round.deciding or round.decided:
-            return
-        round.deciding = True
-
-        def apply() -> None:
-            round.deciding = False
-            if not round.decided:
-                self._apply_abort(txn, round)
-
-        def cancel() -> None:
-            round.deciding = False
-            self._rearm_retry(txn, round)
-
-        dur.force(
-            round.coordinator,
-            ("decision", txn, round.attempt, "abort"),
-            apply, cancel,
-        )
 
     def _rearm_retry(self, txn: int, round: _Round) -> None:
         """Restart the retry chain for a round whose decision flush was
@@ -285,9 +265,8 @@ class TwoPhaseCommit(CommitProtocol):
         missing = round.participants - round.votes
         if not missing:
             # Every vote is in but no decision stands — only reachable
-            # when a coordinator crash cancelled the decision flush
-            # (without a durability model the decision fires at the
-            # last vote, synchronously). Re-drive it.
+            # when a coordinator crash cancelled the decision flush.
+            # Re-drive it.
             self._decide_commit(txn, round)
             return
         if any(sim.suspect_down(site) for site in missing):
@@ -308,33 +287,17 @@ class TwoPhaseCommit(CommitProtocol):
     # ------------------------------------------------------------------
 
     def _on_prepare(self, txn: int, site: str, attempt: int) -> None:
+        """Force the prepare record, then vote yes.
+
+        Execution finished before the round began, so a participant
+        that still holds its state always votes yes.
+        """
         round = self._rounds.get(txn)
         if round is None or round.attempt != attempt or round.decided:
             return
-        if not self.sim.site_is_up(site):
-            return  # message lost: the participant is down
-        dur = self.sim.durability
-        if dur is None:
-            # Execution finished before the round began, so the vote
-            # is yes.
-            self._send_votes(txn, site, attempt, round)
-            return
-        self._prepare_with_log(txn, site, attempt, round)
-
-    def _send_votes(
-        self, txn: int, site: str, attempt: int, round: _Round
-    ) -> None:
-        """Send the participant's yes-vote (Paxos fans out instead)."""
-        self._send_to(
-            site, round.coordinator,
-            ("cm_vote", txn, site, attempt),
-        )
-
-    def _prepare_with_log(
-        self, txn: int, site: str, attempt: int, round: _Round
-    ) -> None:
-        """Durable-prepare path: force the prepare record, then vote."""
         sim = self.sim
+        if not sim.site_is_up(site):
+            return  # message lost: the participant is down
         dur = sim.durability
         if dur.has_prepare(site, txn, attempt):
             # Already durably prepared (a retransmitted PREPARE, or a
@@ -363,6 +326,15 @@ class TwoPhaseCommit(CommitProtocol):
             lambda: self._vote_if_current(txn, site, attempt),
         )
 
+    def _send_votes(
+        self, txn: int, site: str, attempt: int, round: _Round
+    ) -> None:
+        """Send the participant's yes-vote (Paxos fans out instead)."""
+        self._send_to(
+            site, round.coordinator,
+            ("cm_vote", txn, site, attempt),
+        )
+
     def _vote_if_current(self, txn: int, site: str, attempt: int) -> None:
         """Flush-completion continuation: vote if the round stands."""
         round = self._rounds.get(txn)
@@ -374,8 +346,7 @@ class TwoPhaseCommit(CommitProtocol):
 
     def _on_release(self, txn: int, site: str, attempt: int) -> None:
         sim = self.sim
-        inst = sim.instance(txn)
-        if inst.attempt != attempt:
+        if sim.instance(txn).attempt != attempt:
             return  # stale: the round aborted and the txn moved on
         if not sim.site_is_up(site):
             # Participant down: retransmit the decision until it
@@ -385,16 +356,15 @@ class TwoPhaseCommit(CommitProtocol):
                 ("cm_release", txn, site, attempt),
             )
             return
-        dur = sim.durability
-        if dur is None:
-            sim.release_retained(inst, site)
-            sim.result.commit_messages += 1  # the participant's ACK
-            if not inst.retained:
-                self._rounds.pop(txn, None)
-            return
-        # The participant forces the decision record before releasing
-        # and ACKing — the force that makes a later crash replay skip
-        # this transaction instead of re-entering doubt.
+        self._release_with_log(txn, site, attempt)
+
+    def _release_with_log(self, txn: int, site: str, attempt: int) -> None:
+        """Force the commit decision at the participant, then release.
+
+        The force makes a later crash replay skip this transaction
+        instead of re-entering doubt.
+        """
+        dur = self.sim.durability
         if dur.has_decision(site, txn, attempt):
             self._apply_release(txn, site, attempt)
             return
@@ -416,12 +386,10 @@ class TwoPhaseCommit(CommitProtocol):
         sim.result.commit_messages += 1  # the participant's ACK
         if not inst.retained:
             self._rounds.pop(txn, None)
-        dur = sim.durability
-        if dur is not None:
-            dur.resolved(txn, site)
+        sim.durability.resolved(txn, site)
 
     # ------------------------------------------------------------------
-    # recovery inquiry (durability model only)
+    # recovery inquiry
     # ------------------------------------------------------------------
 
     def inquiry_target(self, txn: int) -> str | None:
@@ -477,25 +445,12 @@ class TwoPhaseCommit(CommitProtocol):
         sim = self.sim
         if not sim.site_is_up(site):
             return  # lost; the requery re-asks after the next recovery
-        dur = sim.durability
-        if dur is None:
-            return  # pragma: no cover - only sent under a dur model
-        inst = sim.instance(txn)
-        if verdict == "commit" and inst.attempt == attempt:
-            if dur.has_decision(site, txn, attempt):
-                self._apply_release(txn, site, attempt)
-                return
-            record = ("decision", txn, attempt, "commit")
-            if dur.flush_pending(site, record):
-                return
-            dur.force(
-                site, record,
-                lambda: self._apply_release(txn, site, attempt),
-            )
+        if verdict == "commit" and sim.instance(txn).attempt == attempt:
+            self._release_with_log(txn, site, attempt)
             return
         # ABORT (or a stale attempt): presumption resolves the doubt;
         # the global abort path owns any remaining lock state.
-        dur.resolved(txn, site)
+        sim.durability.resolved(txn, site)
 
     def _on_refuse(self, txn: int, site: str, attempt: int) -> None:
         """A participant refused PREPARE: its volatile state is gone."""

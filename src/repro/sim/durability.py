@@ -1,14 +1,12 @@
 """Per-site write-ahead logging, crash truncation, and recovery replay.
 
-Before this subsystem existed, a crash was idealized: PREPARED
-transactions kept their retained locks "(conceptually) on the
-write-ahead log" and recovery was a single flag flip. This module
-makes that conceptual log real, following Gray & Lamport's *Consensus
-on Transaction Commit*: commit-protocol correctness is defined by what
-each site **forced to stable storage** before acting.
+Following Gray & Lamport's *Consensus on Transaction Commit*, a site
+holds across a crash exactly what it **forced to stable storage**
+before acting. Every retaining commit protocol runs through this one
+crash model; ``SimulationConfig.durability`` only sets its costs and
+its storage faults.
 
-Force points (installed by the commit protocols when
-``SimulationConfig.durability`` is set):
+Force points (installed by the commit protocols):
 
 * a participant forces a ``prepare`` record — carrying exactly the
   lock entries it retains at that site — before sending VOTE-YES;
@@ -21,13 +19,16 @@ Force points (installed by the commit protocols when
   registering a vote, and a takeover leader forces a ``ballot``
   record before deposing the old one.
 
-Every force costs ``flush_time`` on the site's timeline (a
-``dur_flush`` event; the continuation runs when the flush completes),
-so durability is *visible* in the latency decomposition — the
-attribution engine carves a conserved ``log_force`` segment out of
-commit time.
+A force costs ``flush_time`` on the site's timeline (a ``dur_flush``
+event; the continuation runs when the flush completes), so durability
+is *visible* in the latency decomposition — the attribution engine
+carves a conserved ``log_force`` segment out of commit time. At
+``flush_time`` 0 (the default) the force is synchronous: the record is
+durable and the continuation has run when :meth:`DurabilityManager.
+force` returns, with no event scheduled and nothing a crash could
+cancel.
 
-A crash now truncates volatile state to log contents:
+A crash truncates volatile state to log contents:
 
 * in-flight flushes are cancelled — their records were never durable;
 * the durability fault model draws from its own RNG stream (the
@@ -37,7 +38,7 @@ A crash now truncates volatile state to log contents:
   the site must rejoin as a fresh replica via the anti-entropy hooks
   and refuses to vote on state it no longer has (``cm_refuse``);
 * the site's lock table is wiped — prepared holders lose their
-  retained entries instead of magically keeping them.
+  retained entries.
 
 Recovery (:meth:`DurabilityManager.on_site_recover`) is an actual
 replay: an analysis pass over the site's log reconstructs the
@@ -50,9 +51,7 @@ partition simply delays resolution, it cannot split it). Stale
 records (the round aborted and the transaction moved on) resolve
 instantly by presumption, with no physical re-acquisition.
 
-With ``SimulationConfig.durability`` unset nothing here exists: no
-events, no RNG draws, no log — the simulator runs the exact pre-PR
-instruction stream, pinned by the golden-digest matrix.
+The instant protocol forces nothing, so its runs never touch a log.
 """
 
 from __future__ import annotations
@@ -87,8 +86,9 @@ class DurabilityConfig:
     Attributes:
         flush_time: simulated cost of one forced log write; the
             protocol action gated on the force (VOTE-YES, the release
-            fan-out, the participant's ACK) waits for it. 0 keeps the
-            forces free but the logging/recovery semantics real.
+            fan-out, the participant's ACK) waits for it. 0 makes
+            every force synchronous and free; the logging and recovery
+            semantics are the same.
         tail_loss_rate: probability (drawn once per crash) that the
             last durable record is lost — the disk acknowledged a
             write it never persisted.
@@ -164,21 +164,32 @@ class DurabilityManager:
 
         The flush takes ``flush_time``; a crash of the site before it
         completes cancels it (the record was never durable) and runs
-        ``cancel`` instead, so callers can re-arm retry chains. The
-        record's second slot must be the transaction id (the
-        ``dur_flush`` event carries it for probe sampling and
-        attribution).
+        ``cancel`` instead, so callers can re-arm retry chains. At
+        ``flush_time`` 0 the record is durable and ``cont`` has run
+        before this returns. The record's second slot must be the
+        transaction id (the ``dur_flush`` event carries it for probe
+        sampling and attribution).
         """
         sim = self.sim
         sid = sim.site_id(site)
+        record = tuple(record)
+        if not self.config.flush_time:
+            self._append(sid, record)
+            cont()
+            return
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
-        record = tuple(record)
         self._pending[lsn] = (sid, record, cont, cancel)
         self._pending_keys.add((sid,) + record)
         sim.schedule(
             self.config.flush_time, ("dur_flush", record[1], sid, lsn)
         )
+
+    def _append(self, sid: int, record: tuple) -> None:
+        """Make ``record`` durable on site ``sid``'s log."""
+        self._logs[sid].append(record)
+        self._index.add((sid, record[0], record[1], record[2]))
+        self.sim.result.log_forces += 1
 
     def _on_flush(self, txn: int, sid: int, lsn: int) -> None:
         entry = self._pending.pop(lsn, None)
@@ -186,9 +197,7 @@ class DurabilityManager:
             return  # cancelled: the site crashed mid-flush
         sid, record, cont, _cancel = entry
         self._pending_keys.discard((sid,) + record)
-        self._logs[sid].append(record)
-        self._index.add((sid, record[0], record[1], record[2]))
-        self.sim.result.log_forces += 1
+        self._append(sid, record)
         cont()
 
     def flush_pending(self, site: str, record: tuple) -> bool:
@@ -280,8 +289,8 @@ class DurabilityManager:
         crash_site` aborted the RUNNING transactions: in-flight
         flushes are cancelled, the fault model may truncate or wipe
         the log, and the survivors' (prepared/committed holders')
-        lock-table entries at the site are dropped — recovery replay,
-        not magic, brings back what the log implies.
+        lock-table entries at the site are dropped — recovery replay
+        brings back what the log implies.
         """
         sim = self.sim
         sid = sim.site_id(site)

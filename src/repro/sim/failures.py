@@ -10,14 +10,8 @@ A crash wipes the site's volatile state:
 * every RUNNING transaction holding or waiting for a lock there
   aborts (``crash_aborts``) and restarts later — under contention one
   crash fans out into an abort cascade;
-* what happens to PREPARED transactions depends on the durability
-  model. **Legacy behavior** (``config.durability`` unset, the
-  default): their vote and retained locks survive by fiat — an
-  idealized write-ahead log with free, infallible forces — so their
-  locks stay held across the crash and they block until the commit
-  decision arrives. **With a durability model**
-  (:mod:`repro.sim.durability`): only what the site *forced to its
-  log* survives. The injector calls
+* PREPARED transactions keep exactly what their site forced to its
+  write-ahead log (:mod:`repro.sim.durability`). The injector calls
   :meth:`~repro.sim.durability.DurabilityManager.on_site_crash` after
   the abort cascade — cancelling in-flight flushes, applying the
   tail-loss/torn-write/amnesia faults, and wiping the site's lock
@@ -109,12 +103,10 @@ class FailureInjector:
         self.mark_down(site)
         sim.result.crashes += 1
         sim.crash_site(site)
-        if sim.durability is not None:
-            # Truncate the survivors' state to the site's log: cancel
-            # in-flight flushes, draw the storage faults, wipe the
-            # lock table (recovery replay re-acquires what the log
-            # implies).
-            sim.durability.on_site_crash(site)
+        # Truncate the survivors' state to the site's log: cancel
+        # in-flight flushes, draw the storage faults, wipe the lock
+        # table (recovery replay re-acquires what the log implies).
+        sim.durability.on_site_crash(site)
         repair = max(self.sim.config.repair_time, 1e-9)
         downtime = self._rng.expovariate(1.0 / repair)
         sim.schedule(downtime, ("site_recover", site))
@@ -150,9 +142,8 @@ class FailureInjector:
         sim = self.sim
         sim.replicas.on_recover(site)
         self.mark_up(site)
-        if sim.durability is not None:
-            # Replay the site's log: re-acquire the log-implied
-            # retained locks and open in-doubt inquiries.
-            sim.durability.on_site_recover(site)
+        # Replay the site's log: re-acquire the log-implied retained
+        # locks and open in-doubt inquiries.
+        sim.durability.on_site_recover(site)
         if self._work_pending():
             self._schedule_crash(site)

@@ -146,8 +146,8 @@ class SimulationResult:
             active (episodes never overlap, so this is a plain sum).
         log_forces: forced write-ahead-log writes completed (prepare,
             decision, acceptor accept/ballot records); each cost
-            ``flush_time`` on its site's timeline. Zero without a
-            durability model.
+            ``flush_time`` on its site's timeline. Zero under the
+            instant protocol, which forces nothing.
         tail_losses: crashes where the log's tail record was lost —
             the disk acknowledged a write it never persisted.
         torn_writes: crashes where the final log record was torn

@@ -20,7 +20,7 @@ fanout      every issued operation in flight on the network (replica
 service     executing operations (the closure term, see below)
 commit      the final, successful commit round, net of log forces
 log_force   inside the commit round with a forced log write in flight
-            at the transaction's sites (durability model only)
+            at the transaction's sites (zero at ``flush_time`` 0)
 =========== =========================================================
 
 **Conservation.** For every committed transaction the engine observes

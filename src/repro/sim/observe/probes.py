@@ -164,9 +164,8 @@ MONITORED_COUNTERS = frozenset({
     "net_sent", "net_delivered", "net_dropped", "net_duplicates",
     "net_retransmits", "net_acks", "partitions",
     # Durability counters: forces completing, storage faults at
-    # crashes, replays, and in-doubt resolutions. The off path (no
-    # durability model) never writes them, so enabling observability
-    # on a durability-free run emits not one extra probe.
+    # crashes, replays, and in-doubt resolutions. The instant
+    # protocol forces nothing, so its runs never write them.
     "log_forces", "tail_losses", "torn_writes", "amnesia_wipes",
     "log_replays", "in_doubt_resolved",
 })

@@ -183,13 +183,11 @@ class SimulationConfig:
             None (the default) or an all-zero config attaches nothing
             — the perfect network, bit-identical to the seed runs.
         durability: durable-storage configuration
-            (:class:`~repro.sim.durability.DurabilityConfig`): per-site
-            write-ahead logs with protocol force points costing
-            ``flush_time`` each, crash truncation to log contents,
-            replay-based recovery with in-doubt inquiry, and the
-            tail-loss/torn-write/amnesia fault model. None (the
-            default) keeps the idealized crash model — no log, no
-            forces, bit-identical to the seed runs.
+            (:class:`~repro.sim.durability.DurabilityConfig`) of the
+            per-site write-ahead logs: the cost of each protocol force
+            point and the tail-loss/torn-write/amnesia fault model.
+            The default forces for free (``flush_time`` 0); crashes
+            always truncate a site to its log and recovery replays it.
     """
 
     service_time: float = 1.0
@@ -216,7 +214,7 @@ class SimulationConfig:
     seed: int = 0
     observe: ObserveConfig | None = None
     network: NetworkConfig | None = None
-    durability: DurabilityConfig | None = None
+    durability: DurabilityConfig = DurabilityConfig(flush_time=0.0)
 
     def __post_init__(self) -> None:
         # A negative delay would silently corrupt event-heap ordering
@@ -224,12 +222,24 @@ class SimulationConfig:
         # parameters outright, mirroring WorkloadSpec's validation.
         for label, value in (
             ("network_delay", self.network_delay),
-            ("commit_timeout", self.commit_timeout),
             ("failure_rate", self.failure_rate),
             ("repair_time", self.repair_time),
         ):
             if value < 0:
                 raise ValueError(f"{label} must be >= 0, got {value}")
+        # A zero period re-arms its timer at the same instant forever:
+        # the run spins at one simulated time until max_events.
+        for label, value in (
+            ("commit_timeout", self.commit_timeout),
+            ("detection_interval", self.detection_interval),
+        ):
+            if value <= 0:
+                raise ValueError(f"{label} must be > 0, got {value}")
+        if not isinstance(self.durability, DurabilityConfig):
+            raise TypeError(
+                "durability must be a DurabilityConfig, got "
+                f"{self.durability!r}"
+            )
 
 
 class _Instance:
@@ -392,14 +402,10 @@ class Simulator:
         )
         self._register_core_handlers()
         # Durable storage wires before the commit protocols: their
-        # handlers branch on `sim.durability` at event time (None = the
-        # exact pre-durability instruction stream), so the attribute
-        # must exist — and the flush/requery handlers be registered —
-        # by the time any protocol event runs.
-        self.durability: DurabilityManager | None = None
-        if self.config.durability is not None:
-            self.durability = DurabilityManager(self)
-            self.durability.attach()
+        # force points call into it, so the flush/requery handlers
+        # must be registered by the time any protocol event runs.
+        self.durability = DurabilityManager(self)
+        self.durability.attach()
         self.commit = make_protocol(self.config.commit_protocol)
         self.commit.attach(self)
         self._retains_locks = self.commit.retains_locks
@@ -775,13 +781,11 @@ class Simulator:
         """Abort every RUNNING transaction with lock state at the site.
 
         PREPARED transactions are not aborted — they already voted in
-        a commit round. What happens to their locks depends on the
-        durability model: without one (``config.durability`` unset)
-        the legacy idealization applies and the retained locks simply
-        stay across the crash; with one, the failure injector follows
-        this call with :meth:`DurabilityManager.on_site_crash`, which
-        wipes the site's volatile lock table and leaves recovery
-        replay to re-acquire whatever the write-ahead log implies.
+        a commit round. The failure injector follows this call with
+        :meth:`DurabilityManager.on_site_crash`, which wipes the
+        site's volatile lock table, their retained locks included, and
+        leaves recovery replay to re-acquire whatever the write-ahead
+        log implies.
         Waiters go first so that releasing the holders' locks does not
         grant work to a site that is down.
         """

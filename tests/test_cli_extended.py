@@ -119,6 +119,30 @@ class TestSimulateOpenSystem:
         assert "serializable" in out  # closed-batch table, not open
 
 
+class TestSimulateDurability:
+    def test_fault_rates_apply_without_flush_time(self, tmp_path, capsys):
+        # The storage-fault rates must reach the run even when the
+        # flush cost is left at its default.
+        import json
+
+        trace = tmp_path / "wal.jsonl"
+        assert main([
+            *TestSimulateOpenSystem.ARGS,
+            "--commit", "two-phase",
+            "--failure-rate", "0.05", "--repair-time", "5",
+            "--amnesia-rate", "1",
+            "--trace-jsonl", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        wipes = [
+            record["value"]
+            for record in map(json.loads, trace.read_text().splitlines())
+            if record.get("kind") == "counter"
+            and record.get("name") == "amnesia_wipes"
+        ]
+        assert wipes and max(wipes) > 0
+
+
 class TestSweep:
     ARGS = [
         "sweep", "--policies", "wound-wait", "wait-die",

@@ -16,6 +16,24 @@ regenerated when the failure injector learned to keep a site's crash
 chain alive while retained locks still await their release
 retransmission; every rate-0 cell is untouched from the seed capture.
 
+Twelve more ``failure_rate=0.03`` cells were regenerated when the
+write-ahead log became the only crash model (a zero-cost log by
+default, replacing the old rule that prepared locks survive a crash
+unconditionally): dataset 11 under
+
+* ``blocking``, ``detect``: both 2PC variants, sim seed 0;
+* ``wait-die``, ``timeout``: both 2PC variants, sim seeds 0 and 5.
+
+Commits and aborts are unchanged in every one. A recovered
+participant now resolves its in-doubt transaction by inquiry
+(``cm_inquire``/``cm_status``) instead of waiting for the decision's
+retransmission, which moves ``commit_messages`` and, in the
+``blocking`` seed-0 cells, ends the run sooner. In the ``timeout``
+seed-5 cells a crash wipes the last retained lock of a committed
+transaction, so the run drains at once, without the five release
+retransmissions to the down participant (``end_time`` 100.65 to
+70.65).
+
 ``test_paxos_f0_degenerates_to_two_phase`` extends the matrix with the
 Paxos Commit degeneracy contract: at ``commit_fault_tolerance=0`` the
 single acceptor is co-located with the coordinator, so every cell must
@@ -128,11 +146,11 @@ GOLDEN = {
     (11, 'blocking', 'instant', 0.03, 5): 'd6d9de24b9ad',
     (11, 'blocking', 'two-phase', 0.0, 0): 'f63f2ec99a63',
     (11, 'blocking', 'two-phase', 0.0, 5): 'b158645c0ae4',
-    (11, 'blocking', 'two-phase', 0.03, 0): '22fd2133ab8b',
+    (11, 'blocking', 'two-phase', 0.03, 0): '5c50a8b40567',
     (11, 'blocking', 'two-phase', 0.03, 5): 'bdd11fd73de3',
     (11, 'blocking', 'presumed-abort', 0.0, 0): '4bfa166dd3a8',
     (11, 'blocking', 'presumed-abort', 0.0, 5): 'ae3dd84b9630',
-    (11, 'blocking', 'presumed-abort', 0.03, 0): '77a921772061',
+    (11, 'blocking', 'presumed-abort', 0.03, 0): '99339c5a04c2',
     (11, 'blocking', 'presumed-abort', 0.03, 5): '3870ac74b571',
     (11, 'wound-wait', 'instant', 0.0, 0): 'e08b9211a45a',
     (11, 'wound-wait', 'instant', 0.0, 5): '2dd9b20ed21c',
@@ -152,35 +170,35 @@ GOLDEN = {
     (11, 'wait-die', 'instant', 0.03, 5): 'cdbed938817e',
     (11, 'wait-die', 'two-phase', 0.0, 0): 'f2734b4eec75',
     (11, 'wait-die', 'two-phase', 0.0, 5): 'e1ecd511d3c8',
-    (11, 'wait-die', 'two-phase', 0.03, 0): '005edda18885',
-    (11, 'wait-die', 'two-phase', 0.03, 5): '796587132ed4',
+    (11, 'wait-die', 'two-phase', 0.03, 0): 'eba35ba55fd8',
+    (11, 'wait-die', 'two-phase', 0.03, 5): '904d18b51419',
     (11, 'wait-die', 'presumed-abort', 0.0, 0): '9696e358551c',
     (11, 'wait-die', 'presumed-abort', 0.0, 5): '4b7524422bb6',
-    (11, 'wait-die', 'presumed-abort', 0.03, 0): '462afc4d99dc',
-    (11, 'wait-die', 'presumed-abort', 0.03, 5): 'cdee3f8dd4b6',
+    (11, 'wait-die', 'presumed-abort', 0.03, 0): '1011e140f1df',
+    (11, 'wait-die', 'presumed-abort', 0.03, 5): '600509fab629',
     (11, 'timeout', 'instant', 0.0, 0): '5e794e169917',
     (11, 'timeout', 'instant', 0.0, 5): '458865e5d60e',
     (11, 'timeout', 'instant', 0.03, 0): '62c8469611bf',
     (11, 'timeout', 'instant', 0.03, 5): 'b75c48225bd9',
     (11, 'timeout', 'two-phase', 0.0, 0): '2a1f68db3758',
     (11, 'timeout', 'two-phase', 0.0, 5): '938b005a0016',
-    (11, 'timeout', 'two-phase', 0.03, 0): '4f96f161927a',
-    (11, 'timeout', 'two-phase', 0.03, 5): '7471cc659508',
+    (11, 'timeout', 'two-phase', 0.03, 0): '49afa4ad370e',
+    (11, 'timeout', 'two-phase', 0.03, 5): '49d1722e9b1d',
     (11, 'timeout', 'presumed-abort', 0.0, 0): '7945d57098ec',
     (11, 'timeout', 'presumed-abort', 0.0, 5): '07f814874c0d',
-    (11, 'timeout', 'presumed-abort', 0.03, 0): '66ae36ddf222',
-    (11, 'timeout', 'presumed-abort', 0.03, 5): '45034a02d8e5',
+    (11, 'timeout', 'presumed-abort', 0.03, 0): '398f01609d96',
+    (11, 'timeout', 'presumed-abort', 0.03, 5): 'ee33ba5fac1a',
     (11, 'detect', 'instant', 0.0, 0): '8f8b2aa660ea',
     (11, 'detect', 'instant', 0.0, 5): '4b3f34c59df6',
     (11, 'detect', 'instant', 0.03, 0): '0796ec149f66',
     (11, 'detect', 'instant', 0.03, 5): 'e4ae72d7c60c',
     (11, 'detect', 'two-phase', 0.0, 0): 'e1193761a235',
     (11, 'detect', 'two-phase', 0.0, 5): 'e26321d701b8',
-    (11, 'detect', 'two-phase', 0.03, 0): '63b6d6e7ef1f',
+    (11, 'detect', 'two-phase', 0.03, 0): 'e6a38973f031',
     (11, 'detect', 'two-phase', 0.03, 5): '0af6db8a75c1',
     (11, 'detect', 'presumed-abort', 0.0, 0): '5da66f06c659',
     (11, 'detect', 'presumed-abort', 0.0, 5): '75cba5185348',
-    (11, 'detect', 'presumed-abort', 0.03, 0): 'aea04b5eb5a9',
+    (11, 'detect', 'presumed-abort', 0.03, 0): '59410aa066de',
     (11, 'detect', 'presumed-abort', 0.03, 5): 'd462c92b5335',
 }
 

@@ -77,18 +77,25 @@ def _assert_converged(sim, result):
 
 
 class TestWiring:
-    def test_unset_config_attaches_nothing(self):
-        sim = _simulator(durability=None)
-        assert sim.durability is None
-
     def test_config_attaches_manager(self):
         sim = _simulator()
         assert sim.durability is not None
         assert sim.durability.config.flush_time == FLUSH
 
+    def test_default_config_is_a_zero_cost_log(self):
+        assert SimulationConfig().durability == DurabilityConfig(
+            flush_time=0.0
+        )
+
+    def test_durability_is_never_none(self):
+        with pytest.raises(TypeError, match="durability"):
+            SimulationConfig(durability=None)
+
     def test_forces_cost_simulated_time(self):
-        base = _simulator(durability=None).run()
+        free = _simulator(durability=DurabilityConfig(flush_time=0.0))
+        base = free.run()
         forced = _simulator().run()
+        assert base.log_forces > 0
         assert forced.log_forces > 0
         assert forced.end_time > base.end_time
 
@@ -124,6 +131,40 @@ class TestForceMechanics:
         assert ran == []
         assert cancelled == [1]
         assert sim.result.log_forces == 0
+
+    def test_zero_flush_time_forces_synchronously(self):
+        sim = _simulator(durability=DurabilityConfig(flush_time=0.0))
+        dur = sim.durability
+        record = ("prepare", 0, 0, ())
+        ran, cancelled = [], []
+        dur.force(
+            "s0", record, lambda: ran.append(1), lambda: cancelled.append(1)
+        )
+        # Durable, counted, and continued before force() returned.
+        assert dur.log("s0") == (record,)
+        assert dur.has_prepare("s0", 0, 0)
+        assert ran == [1]
+        assert sim.result.log_forces == 1
+        # Nothing is in flight, so a crash has nothing to cancel.
+        assert not dur.flush_pending("s0", record)
+        dur.on_site_crash("s0")
+        assert cancelled == []
+        assert dur.log("s0") == (record,)
+
+    def test_zero_flush_time_schedules_no_flush_event(self):
+        sim = _simulator(durability=DurabilityConfig(flush_time=0.0))
+        kinds = []
+        schedule = sim.schedule
+
+        def recording(delay, payload):
+            kinds.append(payload[0])
+            schedule(delay, payload)
+
+        sim.schedule = recording
+        result = sim.run()
+        assert result.crashes == 0
+        assert result.log_forces > 0
+        assert kinds and "dur_flush" not in kinds
 
 
 class TestFaultDraws:

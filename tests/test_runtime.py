@@ -59,6 +59,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: -0.5})
 
+    @pytest.mark.parametrize(
+        "field", ["commit_timeout", "detection_interval"]
+    )
+    def test_zero_timer_period_rejected(self, field):
+        # A zero period re-arms its timer at the same instant forever.
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: 0.0})
+
     def test_zero_values_accepted(self):
         config = SimulationConfig(
             network_delay=0.0, failure_rate=0.0, repair_time=0.0
