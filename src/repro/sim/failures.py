@@ -23,11 +23,15 @@ A crash wipes the site's volatile state:
   lost PREPAREs/VOTEs/decisions and retry or abort) and accepts no new
   operations — a transaction issuing work to a down site crash-aborts.
 
-The injector draws from its own RNG stream, so enabling failures never
-perturbs arrival or restart randomness, and ``failure_rate=0`` (the
-default) creates no injector at all — zero-rate runs are bit-identical
-to the pre-subsystem simulator. Crash scheduling stops once every
-transaction has committed, letting the event queue drain naturally.
+The injector only drives transitions: the simulator's interned flag
+array (:meth:`~repro.sim.runtime.Simulator.site_is_up`) is the single
+store of up/down truth, and routing and issue read it whether or not
+an injector exists. ``failure_rate=0`` (the default) creates no
+injector, so nothing ever flips a flag and every site stays up. The
+injector draws from its own RNG stream, so enabling failures never
+perturbs arrival or restart randomness. A site's crash chain stops
+once :meth:`~repro.sim.runtime.Simulator.work_pending` reports nothing
+left to do, letting the event queue drain naturally.
 """
 
 from __future__ import annotations
@@ -61,14 +65,6 @@ class FailureInjector:
         sim.register_handler("site_recover", self._on_recover)
         for site in sim.site_names():
             self._schedule_crash(site)
-
-    def site_up(self, site: str) -> bool:
-        """Whether ``site`` is currently up.
-
-        The simulator's interned flag array is the single store of
-        up/down truth; the injector only drives its transitions.
-        """
-        return self.sim.site_is_up(site)
 
     def mark_down(self, site: str) -> None:
         """Record ``site`` as crashed (state only, no abort cascade)."""
@@ -111,33 +107,6 @@ class FailureInjector:
         downtime = self._rng.expovariate(1.0 / repair)
         sim.schedule(downtime, ("site_recover", site))
 
-    def _work_pending(self) -> bool:
-        """Whether another crash of this site could still matter.
-
-        A recovery is the *only* point where a site's crash chain can
-        end, so an instantaneous "nothing to do right now" answer here
-        silently ends fault injection for the site for the rest of the
-        run. Three sources of pending work keep the chain alive:
-
-        * uncommitted transactions (closed batch or injected arrivals);
-        * an arrival process short of its horizon — a recovery landing
-          in an idle gap between Poisson arrivals must reschedule,
-          because more traffic is already on the clock;
-        * retained locks still awaiting their release message (a commit
-          decision retransmitting to a down participant): the protocol
-          conversation is still in flight and its targets can crash
-          again, even though every transaction already counts as
-          committed.
-
-        Only when all three are exhausted may the chain stop; otherwise
-        it would pad the queue with crash/recover pairs up to the time
-        horizon, inflating ``end_time`` and the crash count.
-        """
-        sim = self.sim
-        if sim.has_uncommitted():  # covers the first two bullets
-            return True
-        return sim._retained_total > 0
-
     def _on_recover(self, site: str) -> None:
         sim = self.sim
         sim.replicas.on_recover(site)
@@ -145,5 +114,8 @@ class FailureInjector:
         # Replay the site's log: re-acquire the log-implied retained
         # locks and open in-doubt inquiries.
         sim.durability.on_site_recover(site)
-        if self._work_pending():
+        # A recovery is the only point where a site's crash chain can
+        # end: an idle answer here stops injection at this site for the
+        # rest of the run.
+        if sim.work_pending():
             self._schedule_crash(site)

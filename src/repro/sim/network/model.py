@@ -7,8 +7,10 @@ failure-suspicion seam) on the simulator instance and registers its
 own event kinds — ``net_deliver``/``net_redeliver`` (message copies in
 flight), ``net_ack``, ``net_retransmit`` (the backoff timer chain),
 and ``net_partition_start``/``net_partition_stop`` (episode edges).
-With ``SimulationConfig.network`` unset nothing attaches and the
-simulator runs the exact perfect-network instruction stream.
+With ``SimulationConfig.network`` unset (or all-zero) no model is
+built: ``transmit`` keeps its default body, :meth:`Simulator.schedule`
+— the perfect network — and the runtime routes every cross-site
+message through that same seam either way.
 
 Chaos draws come from a dedicated ``random.Random`` stream derived
 from the run seed (the same independent-stream pattern the
@@ -253,15 +255,11 @@ class NetworkModel:
         side = self.cut
         return side is None or (a in side) == (b in side)
 
-    def _work_pending(self) -> bool:
-        sim = self.sim
-        return sim.has_uncommitted() or sim._retained_total > 0
-
     def _on_partition_start(self, idx: int) -> None:
         sim = self.sim
         if idx < 0:
             # A Poisson-arriving episode.
-            if not self._work_pending():
+            if not sim.work_pending():
                 return  # batch drained; let the chain die
             if self.cut is not None:
                 self._schedule_next_poisson()
@@ -292,7 +290,7 @@ class NetworkModel:
         sim.replicas.on_partition_heal()
         self.cut = None
         sim.result.partition_time += sim._now - self._cut_since
-        if idx < 0 and self._work_pending():
+        if idx < 0 and sim.work_pending():
             self._schedule_next_poisson()
 
     def _schedule_next_poisson(self) -> None:

@@ -24,9 +24,10 @@ arrival (its end-of-run value is the copies still in the queue). Acks
 are control traffic outside the data ledger and are counted separately
 (``net_acks``); ``net_retransmits`` counts timer-driven resends.
 
-Retransmission chains die on their own once the run has no
-uncommitted work and no retained locks left — the same drain condition
-the failure injector uses — so a message addressed to a permanently
+Retransmission chains die on their own once
+:meth:`~repro.sim.runtime.Simulator.work_pending` reports no
+uncommitted work and no retained locks left — the one drain test every
+upkeep chain uses — so a message addressed to a permanently
 unreachable site cannot keep the event queue alive forever.
 
 The channel also feeds failure suspicion: per destination it tracks
@@ -183,10 +184,9 @@ class RetransmitChannel:
         if rec is None:
             return  # acked; the chain dies
         sim = self.sim
-        if not (sim.has_uncommitted() or sim._retained_total > 0):
+        if not sim.work_pending():
             # Nothing left for the message to influence: drop it so the
-            # queue can drain (mirrors the failure injector's drain
-            # condition).
+            # queue can drain.
             self.outstanding.pop(seq, None)
             pending = self._unacked_to.get(rec.dst)
             if pending is not None:

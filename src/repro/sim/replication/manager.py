@@ -46,10 +46,12 @@ with the replication layer. It owns
 Internally everything is keyed on the simulator's interned entity and
 site ids (:meth:`~repro.sim.runtime.Simulator.entity_id` /
 :meth:`~repro.sim.runtime.Simulator.site_id`): the hot per-lock calls
-are :meth:`read_sids`/:meth:`write_sids`, and without fault injection
-:meth:`constant_routes` precomputes every answer so the per-request
-protocol call disappears entirely. The historical name-based methods
-(``read_sites``, ``stale_replicas``, ...) remain as thin wrappers.
+are :meth:`read_sids`/:meth:`write_sids`, the one routing path. Up/down
+truth is the simulator's flag array alone; while every site is up, no
+copy is stale, and no partition cuts the network, both answer from the
+tables :meth:`constant_routes` precomputes, so the per-request protocol
+call disappears. The historical name-based methods (``read_sites``,
+``stale_replicas``, ...) remain as thin wrappers.
 
 With ``replication_factor=1`` every entity has exactly its primary
 replica, all protocols pick that single site, and the manager adds no
@@ -123,12 +125,11 @@ class ReplicaManager:
     # ------------------------------------------------------------------
 
     def _up(self, sid: int) -> bool:
-        # The failure injector is the single source of up/down truth;
-        # its crash/recover handlers call the hooks below *before*
-        # flipping state, so availability integration always covers the
-        # pre-event interval with the pre-event state.
-        sim = self.sim
-        return sim.failures is None or sim._site_up[sid]
+        # The simulator's flag array is the single store of up/down
+        # truth; the failure injector's crash/recover handlers call the
+        # hooks below *before* flipping it, so availability integration
+        # always covers the pre-event interval with the pre-event state.
+        return self.sim._site_up[sid]
 
     def _is_stale(self, sid: int, eid: int) -> bool:
         return (
@@ -161,7 +162,7 @@ class ReplicaManager:
         network = sim.network
         if network is not None and network.cut is not None:
             return self._route_under_cut(eid, from_sid, network, True)
-        if sim.failures is None or (
+        if (
             sim._down_count == 0
             and not self._missed
             and not self._unvalidated
@@ -183,7 +184,7 @@ class ReplicaManager:
         network = sim.network
         if network is not None and network.cut is not None:
             return self._route_under_cut(eid, from_sid, network, False)
-        if sim.failures is None or sim._down_count == 0:
+        if sim._down_count == 0:
             return self._const_write[eid]
         replicas = self._replica_sids[eid]
         site_up = sim._site_up
@@ -230,22 +231,15 @@ class ReplicaManager:
                 return sites
         return None
 
-    def cached_routes(
-        self,
-    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """The all-up/no-staleness route tables computed at init."""
-        return self._const_read, self._const_write
-
     def constant_routes(
         self,
     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Per-entity ``(read, write)`` routes valid for failure-free
-        runs.
+        """Per-entity ``(read, write)`` routes valid while every site
+        is up and no copy is stale.
 
-        Without fault injection no site is ever down and no copy ever
-        goes stale, so every protocol's choice is a constant of the
-        schema — the runtime indexes these tables instead of calling
-        the protocol per request.
+        In that state every protocol's choice is a constant of the
+        schema, so :meth:`read_sids`/:meth:`write_sids` index these
+        tables instead of calling the protocol per request.
         """
         control = self.control
         reads: list[tuple[int, ...]] = []

@@ -40,6 +40,18 @@ The subsystems register their own event kinds on the runtime's
 :class:`~repro.sim.events.HandlerRegistry`, so the main loop is a pure
 dispatcher and never enumerates event types.
 
+Routing and issue decisions read the simulator's own state, never
+which subsystems happen to be attached: one up/down flag array
+(``_site_up``, all True unless the failure injector flips it), one
+routing path (:meth:`~repro.sim.replication.ReplicaManager.read_sids`
+/ ``write_sids``, which answer from constant tables while every site
+is up and no copy is stale), one issue loop (:meth:`Simulator.
+_issue_nodes`), one cross-site message seam (:meth:`Simulator.
+transmit`, whose default body is :meth:`Simulator.schedule`), and one
+work-pending test (:meth:`Simulator.work_pending`) that every upkeep
+chain — crashes, partition episodes, retransmissions — and the run
+loop's drain break consult.
+
 Observability (:mod:`repro.sim.observe`) rides on top: when
 ``config.observe`` requests it, an :class:`~repro.sim.observe.
 ObserverHub` interposes probes on the dispatch seam, the schedule
@@ -48,8 +60,7 @@ emits a ``sched`` probe at send time, which lets consumers tell
 in-flight network messages from idle waiting), the lock-cell
 observers, the result counters, and the lifecycle methods — tracing,
 metrics time series, flight-recorder dumps, and latency attribution
-all come from that stream. With the field unset nothing attaches and
-the hot paths are untouched.
+all come from that stream. With the field unset no probe is installed.
 
 Fast-path architecture: at construction the simulator *interns* the
 schema — entities and sites are mapped to dense integer ids in sorted
@@ -417,27 +428,11 @@ class Simulator:
         # their handlers (its delivery path re-dispatches their event
         # kinds) and before observability (so probe shadows wrap the
         # whole chaos path). With the field unset or all-zero, nothing
-        # attaches and transmit() stays a pass-through to schedule().
+        # attaches and transmit() keeps its default body, schedule().
         self.network: NetworkModel | None = None
         if self.config.network is not None and self.config.network.enabled:
             self.network = NetworkModel(self)
             self.network.attach()
-        # Without fault injection no site ever goes down and no replica
-        # ever goes stale, so every protocol's site choice is a
-        # constant of the schema — precompute the routing tables and
-        # skip the per-request protocol call. Partition episodes make
-        # reachability (and hence routing) time-dependent, so they
-        # disable the constant tables too.
-        self._route_read: list[tuple[int, ...]] | None = None
-        self._route_write: list[tuple[int, ...]] | None = None
-        if self.failures is None and (
-            self.network is None
-            or not self.network.config.partitions_possible
-        ):
-            # The manager computed these once already; share them.
-            self._route_read, self._route_write = (
-                self.replicas.cached_routes()
-            )
         if self.arrivals is not None:
             self.arrivals.attach()
         # Observability attaches last, once every subsystem wired its
@@ -624,13 +619,17 @@ class Simulator:
         return self._site_names_view
 
     def site_is_up(self, site: str) -> bool:
-        """Whether ``site`` is up (always True without fault
-        injection)."""
-        return self.failures is None or self._site_up[self._site_ids[site]]
+        """Whether ``site`` is up.
+
+        Reads the interned flag array, the single store of up/down
+        truth: it starts all True and only :meth:`_mark_site` (driven
+        by the failure injector) flips an entry.
+        """
+        return self._site_up[self._site_ids[site]]
 
     def site_id_is_up(self, sid: int) -> bool:
         """Id-keyed :meth:`site_is_up` (hot path)."""
-        return self.failures is None or self._site_up[sid]
+        return self._site_up[sid]
 
     def _mark_site(self, site: str, up: bool) -> None:
         """Failure-injector hook: flip the interned up/down flag."""
@@ -650,6 +649,30 @@ class Simulator:
         if self.arrivals is not None and not self.arrivals.finished:
             return True
         return self.result.committed < len(self.system)
+
+    def work_pending(self) -> bool:
+        """Whether any event could still change the run's outcome.
+
+        The one continuation test of every upkeep chain (a site's
+        crash/recover chain, Poisson partition episodes, message
+        retransmissions) and of the run loop's drain break. Two
+        sources of pending work keep them alive:
+
+        * uncommitted transactions, including an arrival process short
+          of its horizon (:meth:`has_uncommitted`) — a recovery landing
+          in an idle gap between Poisson arrivals must reschedule,
+          because more traffic is already on the clock;
+        * retained locks still awaiting their release message (a commit
+          decision retransmitting to a down participant): the protocol
+          conversation is still in flight and its targets can crash
+          again, even though every transaction already counts as
+          committed.
+
+        Once both are exhausted the chains stop; otherwise they would
+        pad the queue with upkeep events up to the time horizon,
+        inflating ``end_time`` and the crash count.
+        """
+        return self._retained_total > 0 or self.has_uncommitted()
 
     def transaction_sites(self, txn: int) -> tuple[str, list[str]]:
         """``(coordinator, participants)`` of a commit round.
@@ -833,16 +856,15 @@ class Simulator:
         """Issue the ready subset of the ``pending`` node mask.
 
         The non-Lock body of ``_issue_one`` is inlined for the
-        overwhelmingly common case (an action or unlock at an up site):
-        one event per operation makes this the single hottest loop of a
-        run, and the extra call frame was measurable.
+        overwhelmingly common case (an action or unlock while every
+        site is up): one event per operation makes this the single
+        hottest loop of a run, and the extra call frame was measurable.
         """
         not_done = ~inst.done
         preds = inst.preds
         kinds = inst.kinds
         net_delay = self._net_delay
         cross = inst.cross_mask
-        network = self.network
         while pending:
             low = pending & -pending
             node = low.bit_length() - 1
@@ -851,7 +873,7 @@ class Simulator:
                 continue
             inst.issued |= low
             if net_delay > 0 and cross >> node & 1:
-                if network is None or kinds[node] is _LOCK:
+                if kinds[node] is _LOCK:
                     # Lock issues are client-local decisions — the
                     # network cost (and the chaos) of acquisition
                     # rides on the replica fan-out.
@@ -868,7 +890,7 @@ class Simulator:
                         ("issue", inst.index, node, inst.attempt),
                     )
                 continue
-            if kinds[node] is _LOCK or self.failures is not None:
+            if kinds[node] is _LOCK or self._down_count:
                 self._issue_one(inst, node)
                 if inst.status != _RUNNING:
                     return  # the request aborted us (wait-die)
@@ -894,7 +916,7 @@ class Simulator:
         sites = inst.lock_sites.get(eid)
         if sites is None:
             sites = (self._primary_sid[eid],)
-        if self.failures is not None:
+        if self._down_count:
             up = self._site_up
             if not all(up[sid] for sid in sites):
                 # An operation site is down; the transaction's volatile
@@ -930,25 +952,20 @@ class Simulator:
         eid = inst.eids[node]
         shared = eid in inst.shared_eids
         mode = SHARED if shared else EXCLUSIVE
-        if self._route_write is not None:
-            sites = (
-                self._route_read[eid] if shared else self._route_write[eid]
-            )
-        else:
-            sites = (
-                self.replicas.read_sids(eid, inst.home_sid)
-                if shared
-                else self.replicas.write_sids(eid, inst.home_sid)
-            )
-            if sites is None:
-                # No legal replica set right now: under rowa a single
-                # crashed replica blocks writes, under quorum a lost
-                # majority blocks everything. The access fails exactly
-                # like an issue to a down site.
-                self.result.crash_aborts += 1
-                self.result.unavailable_aborts += 1
-                self._abort(inst)
-                return
+        sites = (
+            self.replicas.read_sids(eid, inst.home_sid)
+            if shared
+            else self.replicas.write_sids(eid, inst.home_sid)
+        )
+        if sites is None:
+            # No legal replica set right now: under rowa a single
+            # crashed replica blocks writes, under quorum a lost
+            # majority blocks everything. The access fails exactly
+            # like an issue to a down site.
+            self.result.crash_aborts += 1
+            self.result.unavailable_aborts += 1
+            self._abort(inst)
+            return
         inst.lock_sites[eid] = sites
         if len(sites) == 1 and (
             self._net_delay <= 0 or sites[0] == self._primary_sid[eid]
@@ -1367,50 +1384,10 @@ class Simulator:
             self.commit.on_execution_complete(inst)
             return
         # Only direct successors of the completed node can have become
-        # ready — no full pending rescan. The issue loop is the body of
-        # ``_issue_nodes``, inlined: this handler runs once per
-        # simulated operation and the call frame was measurable.
+        # ready — no full pending rescan.
         pending = inst.succ[node] & ~inst.issued
-        if not pending:
-            return
-        not_done = ~done
-        preds = inst.preds
-        kinds = inst.kinds
-        net_delay = self._net_delay
-        cross = inst.cross_mask
-        network = self.network
-        while pending:
-            low = pending & -pending
-            ready = low.bit_length() - 1
-            pending ^= low
-            if preds[ready] & not_done:
-                continue
-            inst.issued |= low
-            if net_delay > 0 and cross >> ready & 1:
-                if network is None or kinds[ready] is _LOCK:
-                    # Lock issues stay client-local; see _issue_nodes.
-                    self.schedule(
-                        net_delay, ("issue", inst.index, ready, inst.attempt)
-                    )
-                else:
-                    eid = inst.eids[ready]
-                    sites = inst.lock_sites.get(eid)
-                    self.transmit(
-                        inst.home_sid,
-                        sites[0] if sites else self._primary_sid[eid],
-                        net_delay,
-                        ("issue", inst.index, ready, inst.attempt),
-                    )
-                continue
-            if kinds[ready] is _LOCK or self.failures is not None:
-                self._issue_one(inst, ready)
-                if inst.status != _RUNNING:
-                    return  # the request aborted us (wait-die)
-                continue
-            self.schedule(
-                self._service_time,
-                ("op_done", inst.index, ready, inst.attempt),
-            )
+        if pending:
+            self._issue_nodes(inst, pending)
 
     def _abort(self, inst: _Instance) -> None:
         """Release everything, forget progress, schedule a restart."""
@@ -1611,12 +1588,12 @@ class Simulator:
         max_time = config.max_time
         max_events = config.max_events
         warmup_time = config.warmup_time
-        track_failures = self.failures is not None
         # With fault injection or a network model attached, trailing
         # upkeep events (crash/recover pairs, retransmission chains,
         # partition episodes) can outlive the work; break once the
         # batch drained so they cannot inflate end_time.
-        drain_break = track_failures or self.network is not None
+        drain_break = self.failures is not None or self.network is not None
+        work_pending = self.work_pending
         events_processed = self._events_processed
         # The in-flight integral accumulates in a local and is flushed
         # after the loop — one float add per event instead of an
@@ -1645,14 +1622,11 @@ class Simulator:
                     dispatch(payload)
                 else:
                     handlers[payload[0]](*payload[1:])
-                if (
-                    drain_break
-                    and self._retained_total == 0
-                    and not self.has_uncommitted()
-                ):
+                if drain_break and not work_pending():
                     # All work committed and every retained lock
-                    # released: the only events left are future
-                    # crash/recover pairs, which would inflate end_time
+                    # released: the only events left are upkeep chains
+                    # (crash/recover pairs, partition episodes,
+                    # retransmissions), which would inflate end_time
                     # and the crash count (or spuriously truncate the
                     # run at a tight horizon).
                     break

@@ -18,7 +18,10 @@ allowed to break:
 * the message ledger balances: every physical copy put on the wire is
   delivered, dropped, or suppressed as a duplicate, with the remainder
   still in flight at the end of the run, and every accepted copy was
-  acked.
+  acked;
+* one-copy reads: no read Lock is routed to a replica that is stale
+  (missed a write, or awaits catch-up) at request time — including
+  after a partition heals in a run with no crash injector.
 
 The degradation tests pin the headline behaviour: through a partition
 a majority-quorum system keeps committing while a ROWA/2PC system
@@ -65,8 +68,39 @@ def chaos_configs():
     ), 0.01
 
 
-def chaos_runs(protocol, replica):
-    """Yield (sim, result) for every completed cell of the matrix."""
+def watch_stale_reads(sim, hits):
+    """Record every read Lock routed to a replica stale at request time.
+
+    Shadows ``_request_lock`` on the instance: the stale set is taken
+    just before the routing decision, the chosen replicas just after
+    (``lock_sites`` of the same attempt). Appends ``(txn, entity,
+    site)`` per offending replica to ``hits``.
+    """
+    replicas = sim.replicas
+    request = sim._request_lock
+
+    def checked(inst, node):
+        eid = inst.eids[node]
+        attempt = inst.attempt
+        stale = (
+            replicas._stale_sids(eid) if eid in inst.shared_eids else ()
+        )
+        request(inst, node)
+        if stale and inst.attempt == attempt:
+            for sid in inst.lock_sites.get(eid, ()):
+                if sid in stale:
+                    hits.append((
+                        inst.index, sim.entity_name(eid), sim.site_name(sid)
+                    ))
+
+    sim._request_lock = checked
+
+
+def chaos_runs(protocol, replica, watch=None):
+    """Yield (sim, result) for every completed cell of the matrix.
+
+    ``watch(sim)``, when given, runs on each simulator before its run.
+    """
     system = random_system(random.Random(7), SPEC)
     for _name, network, failure_rate in chaos_configs():
         for seed in range(2):
@@ -85,6 +119,8 @@ def chaos_runs(protocol, replica):
                     network=network,
                 ),
             )
+            if watch is not None:
+                watch(sim)
             result = sim.run()
             assert not result.truncated
             assert not result.deadlocked
@@ -133,6 +169,14 @@ class TestChaosConformance:
                 saw_chaos = True
         # The battery actually exercised the adversary.
         assert saw_chaos
+
+    def test_reads_never_route_to_stale_copies(self, protocol, replica):
+        hits = []
+        for _sim, _result in chaos_runs(
+            protocol, replica, lambda sim: watch_stale_reads(sim, hits)
+        ):
+            pass
+        assert hits == [], f"{len(hits)} stale reads: {hits[:5]}"
 
 
 class TestChaosWithDurability:

@@ -281,8 +281,6 @@ class TestAckAccounting:
                 commit_protocol="two-phase", network_delay=0.5
             ),
         )
-        # Make site_is_up() consult the per-site flags (no injector).
-        sim.failures = object()
         proto = sim.commit
         round = _Round(0, "s1", frozenset({"s1", "s2"}))
         round.votes = {"s1", "s2"}

@@ -224,19 +224,69 @@ class TestEndToEnd:
 
 class TestChainContinuation:
     """A recovery is the only point where a site's crash chain can
-    end; these pin the continuation decision (``_work_pending``)."""
+    end; these pin the continuation decision (``Simulator.
+    work_pending``)."""
 
     def test_work_pending_sources(self):
         sim = Simulator(cross_pair(), "wound-wait", failure_config())
-        injector = sim.failures
-        assert injector._work_pending()  # the batch is uncommitted
+        assert sim.work_pending()  # the batch is uncommitted
         sim.result.committed = len(sim.system)
-        assert not injector._work_pending()
+        assert not sim.work_pending()
         # All transactions committed, but a commit decision is still
         # retransmitting to a down participant: the protocol
         # conversation is alive and its targets can crash again.
         sim._retained_total = 1
-        assert injector._work_pending()
+        assert sim.work_pending()
+
+    def test_every_upkeep_chain_stops_through_work_pending(self):
+        """The crash chain, the Poisson partition chain, and the
+        retransmission chain all take their continue/stop decision
+        from ``Simulator.work_pending`` and nothing else: shadowing it
+        alone flips each chain between rescheduling and dying."""
+        from repro.sim.network import NetworkConfig
+
+        sim = Simulator(
+            cross_pair(),
+            "wound-wait",
+            failure_config(
+                network_delay=0.5,
+                network=NetworkConfig(loss_rate=0.5, partition_rate=0.05),
+            ),
+        )
+        failures, network = sim.failures, sim.network
+        channel = network.channel
+
+        def scheduled(kind):
+            return sum(
+                1 for _t, _seq, payload in sim._queue._heap
+                if payload[0] == kind
+            )
+
+        for pending in (True, False):
+            sim.work_pending = lambda: pending
+            # Crash chain: a recovery reschedules the site's next crash.
+            crashes = scheduled("site_crash")
+            failures._on_recover("s1")
+            assert scheduled("site_crash") == crashes + pending
+            # Poisson partition chain: an episode's end schedules the
+            # next start, and a start with no work installs no cut.
+            network.cut = frozenset({0})
+            starts = scheduled("net_partition_start")
+            network._on_partition_stop(-1)
+            assert scheduled("net_partition_start") == starts + pending
+            stops = scheduled("net_partition_stop")
+            network._on_partition_start(-1)
+            assert (network.cut is not None) == pending
+            assert scheduled("net_partition_stop") == stops + pending
+            network.cut = None
+            # Retransmission chain: an unacked message resends, or is
+            # dropped from the outstanding set.
+            seq = channel._next_seq
+            channel.send(0, 1, 0.5, ("noop",))
+            resends = scheduled("net_retransmit")
+            channel.on_retransmit(seq, 1)
+            assert scheduled("net_retransmit") == resends + pending
+            assert (seq in channel.outstanding) == pending
 
     def test_chain_survives_idle_open_system_gaps(self):
         """A recovery landing in an idle gap of a slow arrival process
@@ -338,7 +388,8 @@ class TestPartitionInterplay:
                 ),
             ),
         )
-        # No failure injection: the up-flag path must never engage.
+        # No failure injection: nothing flips an up/down flag, so a
+        # partition must leave every site reading as up.
         assert sim.failures is None
         up_during_cut: list[bool] = []
         handlers = sim._registry._handlers

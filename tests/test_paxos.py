@@ -60,11 +60,6 @@ def scripted_sim(
             commit_timeout=6.0,
         ),
     )
-    # Without an injector, site_is_up() fast-paths to True; a sentinel
-    # makes the runtime consult the per-site flags the script flips
-    # (nothing dereferences the injector beyond a None check).
-    sim.failures = object()
-
     def crash(site: str) -> None:
         sim.replicas.on_crash(site)
         sim._mark_site(site, False)
