@@ -48,6 +48,15 @@ decision (``cm_status``), re-PREPAREs a still-open round, or reports
 abort; a participant that lost its volatile state before its prepare
 record became durable answers PREPARE with ``cm_refuse``, aborting
 the round.
+
+:class:`TwoPhaseCommit` is the one commit-round engine: presumed-abort
+flips ``notify_on_abort``, and Paxos Commit (:mod:`repro.sim.commit.
+paxos`) overrides only the hooks where Gray & Lamport's protocol
+differs — how a round is built (:meth:`TwoPhaseCommit._new_round`),
+the vote path (``_send_votes``/``_on_vote``), and what a retry does
+when the leader cannot decide (:meth:`TwoPhaseCommit._leader_lost`).
+The round check, the retry chain, the decision forces, release and
+inquiry are shared.
 """
 
 from __future__ import annotations
@@ -62,10 +71,14 @@ _COMMITTED = "committed"
 
 
 class _Round:
-    """Coordinator-side state of one commit round."""
+    """Coordinator-side state of one commit round.
+
+    ``ballot`` tags the round's retry chain (``cm_retry``); 2PC never
+    changes leader, so it stays 0 (Paxos Commit bumps it per takeover).
+    """
 
     __slots__ = ("attempt", "coordinator", "participants", "votes",
-                 "decided", "deciding")
+                 "decided", "deciding", "ballot")
 
     def __init__(self, attempt: int, coordinator: str,
                  participants: frozenset[str]):
@@ -79,6 +92,7 @@ class _Round:
         # competing decision may start and no inquiry may be answered
         # with the opposite verdict.
         self.deciding = False
+        self.ballot = 0
 
 
 @register_protocol
@@ -103,35 +117,6 @@ class TwoPhaseCommit(CommitProtocol):
         sim.register_handler("cm_refuse", self._on_refuse)
 
     # ------------------------------------------------------------------
-    # messaging helpers
-    # ------------------------------------------------------------------
-
-    def _delay(self, coordinator: str, site: str) -> float:
-        if site == coordinator:
-            return 0.0
-        return self.sim.config.network_delay
-
-    def _send(self, delay: float, payload: tuple) -> None:
-        """Count one protocol message and schedule its delivery."""
-        self.sim.result.commit_messages += 1
-        self.sim.schedule(delay, payload)
-
-    def _send_to(self, src: str, dst: str, payload: tuple) -> None:
-        """Count one protocol message and route it site-to-site.
-
-        This is the chaos seam: under a network model the message rides
-        the retransmission channel (loss, duplication, partitions, acks
-        and backoff); without one :meth:`Simulator.transmit` is a plain
-        scheduled delivery, bit-identical to :meth:`_send`.
-        """
-        sim = self.sim
-        sim.result.commit_messages += 1
-        sim.transmit(
-            sim.site_id(src), sim.site_id(dst),
-            self._delay(src, dst), payload,
-        )
-
-    # ------------------------------------------------------------------
     # coordinator side
     # ------------------------------------------------------------------
 
@@ -139,13 +124,24 @@ class TwoPhaseCommit(CommitProtocol):
         sim = self.sim
         sim.mark_prepared(inst)
         coordinator, sites = sim.transaction_sites(inst.index)
-        round = _Round(inst.attempt, coordinator, frozenset(sites))
+        round = self._new_round(inst.attempt, coordinator, frozenset(sites))
         self._rounds[inst.index] = round
         self._broadcast_prepare(inst.index, round)
-        sim.schedule(
-            sim.config.commit_timeout,
-            ("cm_retry", inst.index, inst.attempt),
-        )
+        self._rearm_retry(inst.index, round)
+
+    def _new_round(self, attempt: int, coordinator: str,
+                   participants: frozenset[str]) -> _Round:
+        """Build a round's coordinator-side state (Paxos adds the
+        acceptor bank)."""
+        return _Round(attempt, coordinator, participants)
+
+    def _current_round(self, txn: int, attempt: int) -> _Round | None:
+        """The round of ``txn`` if it is still at ``attempt`` and
+        undecided; None when a message or timer for it is stale."""
+        round = self._rounds.get(txn)
+        if round is None or round.attempt != attempt or round.decided:
+            return None
+        return round
 
     def _broadcast_prepare(
         self, txn: int, round: _Round, only_missing: bool = False
@@ -153,15 +149,14 @@ class TwoPhaseCommit(CommitProtocol):
         for site in sorted(round.participants):
             if only_missing and site in round.votes:
                 continue
-            self._send_to(
+            self.send_to(
                 round.coordinator, site,
                 ("cm_prepare", txn, site, round.attempt),
             )
 
     def _on_vote(self, txn: int, site: str, attempt: int) -> None:
-        round = self._rounds.get(txn)
-        if (round is None or round.attempt != attempt or round.decided
-                or round.deciding):
+        round = self._current_round(txn, attempt)
+        if round is None or round.deciding:
             return
         if not self.sim.site_is_up(round.coordinator):
             return  # vote lost; the retry loop re-collects it
@@ -215,7 +210,7 @@ class TwoPhaseCommit(CommitProtocol):
         round.decided = True
         sim.finish_commit(sim.instance(txn))
         for site in sorted(round.participants):
-            self._send_to(
+            self.send_to(
                 round.coordinator, site,
                 ("cm_release", txn, site, round.attempt),
             )
@@ -224,14 +219,13 @@ class TwoPhaseCommit(CommitProtocol):
             # participant has not acknowledged anything yet.
 
     def _rearm_retry(self, txn: int, round: _Round) -> None:
-        """Restart the retry chain for a round whose decision flush was
-        crash-cancelled. Subclasses with richer retry payloads (Paxos
-        tags retries with the ballot) override this. A duplicate chain
-        is harmless: every ``cm_retry`` delivery re-checks the round's
-        identity and decision state before acting."""
+        """Schedule the round's next ``cm_retry``, tagged with its
+        current ballot. A duplicate chain is harmless: every delivery
+        re-checks the round's identity, ballot and decision state
+        before acting."""
         self.sim.schedule(
             self.sim.config.commit_timeout,
-            ("cm_retry", txn, round.attempt),
+            ("cm_retry", txn, round.attempt, round.ballot),
         )
 
     def _apply_abort(self, txn: int, round: _Round) -> None:
@@ -243,24 +237,17 @@ class TwoPhaseCommit(CommitProtocol):
         del self._rounds[txn]
         sim.abort_from_commit(sim.instance(txn))
 
-    def _on_retry(self, txn: int, attempt: int) -> None:
+    def _on_retry(self, txn: int, attempt: int, ballot: int) -> None:
         sim = self.sim
-        round = self._rounds.get(txn)
-        if round is None or round.attempt != attempt or round.decided:
-            return
+        round = self._current_round(txn, attempt)
+        if round is None or round.ballot != ballot:
+            return  # stale, or a takeover re-armed under a newer ballot
         if round.deciding:
             # The decision record is mid-flush: keep the chain alive
             # so a crash-cancelled flush is re-driven.
-            sim.schedule(
-                sim.config.commit_timeout, ("cm_retry", txn, attempt)
-            )
+            self._rearm_retry(txn, round)
             return
-        if not sim.site_is_up(round.coordinator):
-            # Coordinator down: no decision possible; prepared
-            # participants stay blocked until it recovers.
-            sim.schedule(
-                sim.config.commit_timeout, ("cm_retry", txn, attempt)
-            )
+        if self._leader_lost(txn, round):
             return
         missing = round.participants - round.votes
         if not missing:
@@ -278,9 +265,21 @@ class TwoPhaseCommit(CommitProtocol):
             return
         # Transient loss: re-send PREPARE to the missing voters only.
         self._broadcast_prepare(txn, round, only_missing=True)
-        sim.schedule(
-            sim.config.commit_timeout, ("cm_retry", txn, attempt)
-        )
+        self._rearm_retry(txn, round)
+
+    def _leader_lost(self, txn: int, round: _Round) -> bool:
+        """Retry-time hook: handle a leader that cannot decide.
+
+        Returns True when it consumed the retry. 2PC reads the up/down
+        flag: while the coordinator is down no decision is possible,
+        so prepared participants stay blocked until it recovers and
+        the chain just re-arms. Paxos Commit overrides this to rotate
+        leadership on suspicion instead.
+        """
+        if self.sim.site_is_up(round.coordinator):
+            return False
+        self._rearm_retry(txn, round)
+        return True
 
     # ------------------------------------------------------------------
     # participant side
@@ -292,8 +291,8 @@ class TwoPhaseCommit(CommitProtocol):
         Execution finished before the round began, so a participant
         that still holds its state always votes yes.
         """
-        round = self._rounds.get(txn)
-        if round is None or round.attempt != attempt or round.decided:
+        round = self._current_round(txn, attempt)
+        if round is None:
             return
         sim = self.sim
         if not sim.site_is_up(site):
@@ -313,7 +312,7 @@ class TwoPhaseCommit(CommitProtocol):
             # wiped its lock table — possibly with log amnesia —
             # before the prepare record became durable): it must not
             # vote yes on state it no longer has.
-            self._send_to(
+            self.send_to(
                 site, round.coordinator,
                 ("cm_refuse", txn, site, attempt),
             )
@@ -330,15 +329,15 @@ class TwoPhaseCommit(CommitProtocol):
         self, txn: int, site: str, attempt: int, round: _Round
     ) -> None:
         """Send the participant's yes-vote (Paxos fans out instead)."""
-        self._send_to(
+        self.send_to(
             site, round.coordinator,
             ("cm_vote", txn, site, attempt),
         )
 
     def _vote_if_current(self, txn: int, site: str, attempt: int) -> None:
         """Flush-completion continuation: vote if the round stands."""
-        round = self._rounds.get(txn)
-        if round is None or round.attempt != attempt or round.decided:
+        round = self._current_round(txn, attempt)
+        if round is None:
             return
         if not self.sim.site_is_up(site):
             return  # pragma: no cover - a crash cancels the flush
@@ -349,9 +348,11 @@ class TwoPhaseCommit(CommitProtocol):
         if sim.instance(txn).attempt != attempt:
             return  # stale: the round aborted and the txn moved on
         if not sim.site_is_up(site):
-            # Participant down: retransmit the decision until it
-            # recovers — its retained locks stay blocked meanwhile.
-            self._send(
+            # Participant down: retransmit the decision every
+            # ``commit_timeout`` until it recovers — its retained locks
+            # stay blocked meanwhile.
+            sim.result.commit_messages += 1
+            sim.schedule(
                 sim.config.commit_timeout,
                 ("cm_release", txn, site, attempt),
             )
@@ -408,32 +409,28 @@ class TwoPhaseCommit(CommitProtocol):
         from the absence of a record; the message is the same.
         """
         sim = self.sim
-        round = self._rounds.get(txn)
-        coordinator = (
-            round.coordinator if round is not None
-            else sim.transaction_sites(txn)[0]
-        )
+        coordinator = self.inquiry_target(txn)
         if not sim.site_is_up(coordinator):
             return  # lost; the participant's requery re-asks
         inst = sim.instance(txn)
         if inst.status == _COMMITTED and inst.attempt == attempt:
-            self._send_to(
+            self.send_to(
                 coordinator, site,
                 ("cm_status", txn, site, attempt, "commit"),
             )
             return
-        if (round is not None and round.attempt == attempt
-                and not round.decided):
+        round = self._current_round(txn, attempt)
+        if round is not None:
             if round.deciding:
                 # The verdict is mid-flush: answering now could
                 # contradict it. Stay silent; the requery re-asks.
                 return
-            self._send_to(
+            self.send_to(
                 coordinator, site,
                 ("cm_prepare", txn, site, attempt),
             )
             return
-        self._send_to(
+        self.send_to(
             coordinator, site,
             ("cm_status", txn, site, attempt, "abort"),
         )
@@ -454,9 +451,8 @@ class TwoPhaseCommit(CommitProtocol):
 
     def _on_refuse(self, txn: int, site: str, attempt: int) -> None:
         """A participant refused PREPARE: its volatile state is gone."""
-        round = self._rounds.get(txn)
-        if (round is None or round.attempt != attempt or round.decided
-                or round.deciding):
+        round = self._current_round(txn, attempt)
+        if round is None or round.deciding:
             return
         if not self.sim.site_is_up(round.coordinator):
             return  # lost; the retry loop aborts on suspicion instead
