@@ -666,13 +666,19 @@ class Simulator:
           decision retransmitting to a down participant): the protocol
           conversation is still in flight and its targets can crash
           again, even though every transaction already counts as
-          committed.
+          committed. That includes a down site whose crash wiped its
+          retained entries and that has not replayed its log yet: the
+          log may imply a lock only recovery re-acquires and releases.
 
-        Once both are exhausted the chains stop; otherwise they would
+        Once all are exhausted the chains stop; otherwise they would
         pad the queue with upkeep events up to the time horizon,
         inflating ``end_time`` and the crash count.
         """
-        return self._retained_total > 0 or self.has_uncommitted()
+        return (
+            self._retained_total > 0
+            or self.has_uncommitted()
+            or bool(self.durability.unreplayed)
+        )
 
     def transaction_sites(self, txn: int) -> tuple[str, list[str]]:
         """``(coordinator, participants)`` of a commit round.

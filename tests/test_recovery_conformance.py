@@ -21,7 +21,10 @@ Every crashed run must satisfy the recovery invariants:
 * in-doubt resolution terminates: the in-doubt set is empty at drain
   and every opened entry was resolved (by decision, status answer, or
   presumption);
-* lock tables drain and ``aborts_by_cause`` partitions ``aborts``.
+* lock tables drain and ``aborts_by_cause`` partitions ``aborts``;
+* a drained run leaves no site down whose log still implies a held
+  lock: a crash that wiped a participant's retained entries keeps the
+  run alive until the site replays its log.
 
 The boundary count is capped per cell (evenly spread over the force
 sequence) to keep the battery fast; the cap is generous enough to
@@ -38,6 +41,11 @@ from repro.sim.durability import DurabilityConfig
 from repro.sim.replication import replica_control_names
 from repro.sim.runtime import _COMMITTED, SimulationConfig, Simulator
 from repro.sim.workload import WorkloadSpec, random_system
+
+from tests.test_closed_batch_equivalence import (
+    cell_simulator,
+    fault_cell_simulator,
+)
 
 SPEC = WorkloadSpec(
     n_transactions=8,
@@ -127,6 +135,17 @@ def _crash_run(protocol, replica, target, offset):
     return sim, result
 
 
+def down_sites_implying_locks(sim):
+    """Down sites whose durable log implies a retained lock, with the
+    ``(txn, eid)`` entries it implies."""
+    implied = {
+        site: sim.durability.log_implied_locks(site)
+        for site in sim.site_names()
+        if not sim.site_is_up(site)
+    }
+    return {site: locks for site, locks in implied.items() if locks}
+
+
 def crashed_runs(protocol, replica):
     """Yield (sim, result) for every sampled crash point x offset."""
     total = _count_forces(protocol, replica)
@@ -182,6 +201,8 @@ class TestRecoveryConformance:
             # Abort attribution partitions exactly.
             assert sum(result.aborts_by_cause.values()) == result.aborts
 
+            assert down_sites_implying_locks(sim) == {}, tag
+
             # The harness exercised the log.
             assert result.log_forces > 0, tag
         # Across the sampled boundaries at least one crash landed on a
@@ -199,3 +220,28 @@ class TestInstantCommitUnderDurability:
         assert result.log_forces == 0
         assert result.log_replays == 0
         assert sim.durability.in_doubt() == set()
+
+
+@pytest.mark.parametrize("build, cell", [
+    pytest.param(cell_simulator, (11, "timeout", "two-phase", 0.03, 5),
+                 id="golden-two-phase"),
+    pytest.param(cell_simulator,
+                 (11, "timeout", "presumed-abort", 0.03, 5),
+                 id="golden-presumed-abort"),
+    pytest.param(fault_cell_simulator, ("paxos-commit", "lossy", 0.0, 2),
+                 id="fault-paxos-commit"),
+])
+def test_drained_run_leaves_no_down_site_implying_a_lock(build, cell):
+    """The run loop must not drain while a crash has wiped retained
+    entries that the down site's log still implies.
+
+    Each cell crashes a prepared participant of an already committed
+    transaction, so its last retained lock goes with the crash; the
+    run must keep its upkeep chains alive until the site recovers and
+    replays the log.
+    """
+    sim = build(*cell)
+    result = sim.run()
+    assert not result.truncated
+    assert result.committed == result.total
+    assert down_sites_implying_locks(sim) == {}
