@@ -25,9 +25,8 @@ are control traffic outside the data ledger and are counted separately
 (``net_acks``); ``net_retransmits`` counts timer-driven resends.
 
 Retransmission chains die on their own once
-:meth:`~repro.sim.runtime.Simulator.work_pending` reports no
-uncommitted work and no retained locks left — the one drain test every
-upkeep chain uses — so a message addressed to a permanently
+:meth:`~repro.sim.runtime.Simulator.work_pending` reports no work
+left — the one drain test every upkeep chain uses — so a message addressed to a permanently
 unreachable site cannot keep the event queue alive forever.
 
 The channel also feeds failure suspicion: per destination it tracks

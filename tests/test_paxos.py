@@ -13,6 +13,8 @@ import pytest
 from repro.core.entity import DatabaseSchema
 from repro.core.system import TransactionSystem
 from repro.sim.commit import PaxosCommit, TwoPhaseCommit, make_protocol
+from repro.sim.durability import DurabilityConfig
+from repro.sim.network import NetworkConfig
 from repro.sim.runtime import SimulationConfig, Simulator, simulate
 
 from tests.helpers import seq
@@ -42,13 +44,15 @@ def scripted_sim(
     protocol: str,
     schedule: list[tuple[float, str, str]],
     fault_tolerance: int = 1,
+    **config,
 ) -> Simulator:
     """A simulator with (time, "crash"|"recover", site) events queued.
 
     The handlers replay ``FailureInjector``'s transition semantics
     (replica bookkeeping, the up/down flag, the abort cascade) without
     the injector's RNG or rescheduling, so the fault pattern is exactly
-    the script and nothing else.
+    the script and nothing else. ``config`` adds further
+    :class:`SimulationConfig` fields (a network model, log costs).
     """
     sim = Simulator(
         system,
@@ -58,6 +62,7 @@ def scripted_sim(
             commit_fault_tolerance=fault_tolerance,
             network_delay=1.0,
             commit_timeout=6.0,
+            **config,
         ),
     )
     def crash(site: str) -> None:
@@ -220,6 +225,49 @@ class TestTakeover:
         assert result.committed == 1
         assert result.coordinator_takeovers == 0
         assert result.commit_latencies[0] > 20.0 - 0.5
+
+
+class TestSuspicion:
+    """The two leader-lost rules differ only in what they read: 2PC
+    the up/down flag, Paxos Commit failure suspicion. A partition that
+    cuts the coordinator off, with no crash injector, tells them apart.
+
+    With ``flush_time`` 0.5 and ``network_delay`` 1, PREPARE reaches s2
+    and s3 at t+1, their votes reach s1 at t+2.5, and the acceptors'
+    relays (``cm_learn``) would reach it at t+3. Cutting s1 off at
+    t+2.75 leaves every ack of s1's own sends delivered, so s2 and s3
+    stay unsuspected, while s1's acks of the votes are lost. At the
+    second retry (t+12) s1 is suspected, though it never crashed.
+    """
+
+    HEAL_AFTER = 40.0
+
+    def _cut_run(self, protocol: str, cut_at: float):
+        t = exec_done_time(spanning_txn())
+        sim = scripted_sim(
+            spanning_txn(), protocol, [],
+            network=NetworkConfig(partition_schedule=(
+                (t + cut_at, self.HEAL_AFTER, ("s1",)),
+            )),
+            durability=DurabilityConfig(flush_time=0.5),
+        )
+        return sim.run()
+
+    def test_paxos_takes_over_from_a_cut_off_leader(self):
+        result = self._cut_run("paxos-commit", 2.75)
+        assert result.crashes == 0
+        assert result.coordinator_takeovers >= 1
+        assert result.committed == 1
+        assert result.commit_aborts == 0
+        # s2 decides long before the cut heals.
+        assert result.commit_latencies[0] < self.HEAL_AFTER
+
+    @pytest.mark.parametrize("cut_at", [1.5, 2.0, 2.75])
+    def test_two_phase_never_deposes_an_up_coordinator(self, cut_at):
+        result = self._cut_run("two-phase", cut_at)
+        assert result.crashes == 0
+        assert result.coordinator_takeovers == 0
+        assert result.committed == 1
 
 
 class TestMajority:
