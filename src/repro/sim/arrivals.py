@@ -150,8 +150,13 @@ class ArrivalProcess:
         self.finished = False
         self._base_names: frozenset[str] = frozenset()
 
-    def attach(self) -> None:
-        """Register the event handler and start the Poisson clock."""
+    def start(self) -> None:
+        """Register the event handler and start the Poisson clock.
+
+        Separate from construction: the process is built before the
+        simulator interns the (merged) schema, and its clock must start
+        after the crash and partition chains drew their first events.
+        """
         sim = self.sim
         sim.register_handler("arrive", self._on_arrive)
         self._base_names = frozenset(t.name for t in sim.system)

@@ -153,10 +153,6 @@ class DurabilityManager:
         #: harness: {"site", "time", "implied", "reacquired",
         #: "in_doubt", "presumed"}.
         self.recovery_reports: list[dict] = []
-
-    def attach(self) -> None:
-        """Register the flush-completion and inquiry-retry events."""
-        sim = self.sim
         sim.register_handler("dur_flush", self._on_flush)
         sim.register_handler("dur_requery", self._on_requery)
 
@@ -331,8 +327,7 @@ class DurabilityManager:
         for txn in list(table.involved()):
             inst = sim.instance(txn)
             for entry in [e for e in inst.retained if e[1] == sid]:
-                inst.retained.discard(entry)
-                sim._retained_total -= 1
+                sim.set_retained(inst, entry, False)
                 self.unreplayed.add(sid)
             for eid, granted in table.release_all(txn):
                 for grantee in granted:  # pragma: no cover - defensive
@@ -426,8 +421,7 @@ class DurabilityManager:
                     continue
                 mode = SHARED if eid in inst.shared_eids else EXCLUSIVE
                 if table.request(txn, eid, mode):
-                    inst.retained.add((eid, held))
-                    sim._retained_total += 1
+                    sim.set_retained(inst, (eid, held), True)
                     reacquired.add((txn, eid))
                 else:  # pragma: no cover - empty-table requests grant
                     table.cancel_wait(txn, eid)

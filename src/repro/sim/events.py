@@ -68,7 +68,7 @@ class HandlerRegistry:
     once, so two subsystems cannot silently shadow each other's events.
     """
 
-    # No __slots__: one instance per run, and instrumentation (the
+    # No __slots__: one instance per run, and the observer hub (and the
     # waits-for invariant suite) shadows ``dispatch`` per instance.
 
     def __init__(self) -> None:

@@ -57,10 +57,6 @@ class FailureInjector:
             raise ValueError("failure injection needs failure_rate > 0")
         # A private stream: failures must not perturb the main RNG.
         self._rng = random.Random((config.seed + 1) * 1_000_003 + 0x5EED)
-
-    def attach(self) -> None:
-        """Register event handlers and schedule the first crashes."""
-        sim = self.sim
         sim.register_handler("site_crash", self._on_crash)
         sim.register_handler("site_recover", self._on_recover)
         for site in sim.site_names():

@@ -1,11 +1,11 @@
 """Adversarial network conditions for the simulator.
 
-``repro.sim.network`` interposes a :class:`NetworkModel` on the
-:meth:`Simulator.transmit` message seam (the same seam family the
-ObserverHub shadows) and applies, per cross-site message: per-link
-delay jitter, i.i.d. drop probability, duplication probability, and
-partition episodes — scripted or Poisson-arriving splits of the site
-set during which messages crossing the cut are dropped. All chaos is
+:meth:`Simulator.transmit` hands every cross-site message to the
+run's :class:`NetworkModel` (the simulator calls the model; nothing is
+patched in), which applies, per message: per-link delay jitter, i.i.d.
+drop probability, duplication probability, and partition episodes —
+scripted or Poisson-arriving splits of the site set during which
+messages crossing the cut are dropped. All chaos is
 drawn from a dedicated RNG stream, so a lossless configuration (the
 default ``network=None``) is byte-for-byte identical to the perfect
 network the simulator always had.

@@ -1,16 +1,17 @@
 """The network chaos model: loss, duplication, jitter, partitions.
 
-:class:`NetworkModel` attaches by *interposition only*, exactly like
-the observability layer: it shadows :meth:`Simulator.transmit` (the
-cross-site message seam) and :meth:`Simulator.suspect_down` (the
-failure-suspicion seam) on the simulator instance and registers its
-own event kinds — ``net_deliver``/``net_redeliver`` (message copies in
-flight), ``net_ack``, ``net_retransmit`` (the backoff timer chain),
-and ``net_partition_start``/``net_partition_stop`` (episode edges).
-With ``SimulationConfig.network`` unset (or all-zero) no model is
-built: ``transmit`` keeps its default body, :meth:`Simulator.schedule`
-— the perfect network — and the runtime routes every cross-site
-message through that same seam either way.
+The simulator *calls* the model; the model replaces nothing on it.
+:meth:`Simulator.transmit` (the cross-site message path) hands every
+inter-site message to the model's retransmission channel, and
+:meth:`Simulator.suspect_down` (failure suspicion) asks
+:meth:`NetworkModel.suspects` about up sites. The model's constructor
+registers its own event kinds — ``net_deliver``/``net_redeliver``
+(message copies in flight), ``net_ack``, ``net_retransmit`` (the
+backoff timer chain), and ``net_partition_start``/
+``net_partition_stop`` (episode edges) — and schedules the first
+partition episodes. With ``SimulationConfig.network`` unset (or
+all-zero) no model is built and ``transmit`` just schedules the
+message — the perfect network.
 
 Chaos draws come from a dedicated ``random.Random`` stream derived
 from the run seed (the same independent-stream pattern the
@@ -142,7 +143,7 @@ class NetworkConfig:
 
 
 class NetworkModel:
-    """Chaos interposition on the simulator's message seam."""
+    """The lossy network :meth:`Simulator.transmit` sends through."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -153,36 +154,23 @@ class NetworkModel:
         self.rng = random.Random(
             (sim.config.seed + 1) * 1_000_003 + _CHAOS_SALT
         )
-        self.channel = RetransmitChannel(self)
+        self.channel = channel = RetransmitChannel(self)
         #: sids on side A of the active cut (side B is the complement);
         #: None while the network is whole.
         self.cut: frozenset | None = None
         self._cut_since = 0.0
         self._episodes: list[tuple[float, float, frozenset]] = []
-
-    # ------------------------------------------------------------------
-    # attachment
-    # ------------------------------------------------------------------
-
-    def attach(self) -> None:
-        sim = self.sim
-        channel = self.channel
         sim.register_handler("net_deliver", channel.on_deliver)
         sim.register_handler("net_redeliver", channel.on_redeliver)
         sim.register_handler("net_ack", channel.on_ack)
         sim.register_handler("net_retransmit", channel.on_retransmit)
         sim.register_handler("net_partition_start", self._on_partition_start)
         sim.register_handler("net_partition_stop", self._on_partition_stop)
-        # Interpose on the message and suspicion seams. ``schedule`` is
-        # looked up at call time inside both, so the ObserverHub's
-        # sched-probe shadow (attached later) still sees every enqueue.
-        sim.transmit = self._transmit
-        sim.suspect_down = self._suspect_down
-        n_sites = len(sim.site_names())
+        known = sim.site_names()
+        n_sites = len(known)
         for i, (start, duration, side) in enumerate(
             self.config.partition_schedule
         ):
-            known = sim.site_names()
             unknown = [name for name in side if name not in known]
             if unknown:
                 raise ValueError(
@@ -198,30 +186,13 @@ class NetworkModel:
             self._episodes.append((start, duration, sids))
             sim.schedule(start, ("net_partition_start", i))
         if self.config.partition_rate > 0 and n_sites >= 2:
-            sim.schedule(
-                self.rng.expovariate(self.config.partition_rate),
-                ("net_partition_start", -1),
-            )
+            self._schedule_next_poisson()
 
-    # ------------------------------------------------------------------
-    # the message seam
-    # ------------------------------------------------------------------
-
-    def _transmit(self, src, dst, delay, payload) -> None:
-        if src == dst:
-            # Intra-site messages never touch the wire: chaos-free and
-            # unsequenced, exactly as in the lossless model (this keeps
-            # paxos F=0 degenerate to 2PC and local sends free).
-            self.sim.schedule(delay, payload)
-            return
-        self.channel.send(src, dst, delay, payload)
-
-    def _suspect_down(self, site: str) -> bool:
-        sim = self.sim
-        if not sim.site_is_up(site):
-            return True  # genuinely crashed sites stay suspected
-        sid = sim.site_id(site)
-        age = self.channel.oldest_unacked_age(sid, sim._now)
+    def suspects(self, sid: int) -> bool:
+        """Whether the oldest unacked message to site ``sid`` is older
+        than ``suspect_timeout`` (the up-site half of
+        :meth:`Simulator.suspect_down`)."""
+        age = self.channel.oldest_unacked_age(sid, self.sim._now)
         return age > self.config.suspect_timeout
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ unreachable site cannot keep the event queue alive forever.
 
 The channel also feeds failure suspicion: per destination it tracks
 the send time of the oldest unacked message, and
-:meth:`NetworkModel._suspect_down` suspects a site once that age
+:meth:`NetworkModel.suspects` suspects an up site once that age
 exceeds ``suspect_timeout`` — the timeout-based knowledge a real
 protocol has, replacing the omniscient ``site_up()`` checks.
 """

@@ -1,6 +1,6 @@
 """Zero-cost observability: probes, tracing, metrics, flight recorder.
 
-The package splits into the attach-time interposition machinery
+The package splits into the construction-time interposition machinery
 (:mod:`~repro.sim.observe.probes` — :class:`ObserveConfig`,
 :class:`ObserverHub`, :class:`ProbeSink`) and four stock consumers:
 

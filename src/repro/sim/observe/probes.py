@@ -1,9 +1,25 @@
-"""Probe configuration and the attach-time interposition machinery.
+"""Probe configuration and the construction-time interposition machinery.
 
 The observability layer is **zero-cost when disabled** by construction:
 no hot-path code ever tests an "is tracing on?" flag. Instead, every
 probe is installed by *interposition* when — and only when — an
-:class:`ObserverHub` attaches to a simulator:
+:class:`ObserverHub` is built on a simulator. The hub is the only
+module that replaces simulator behaviour, at exactly these points:
+
+* the declared seams (``Simulator.SEAMS``), replaced through
+  :meth:`Simulator.interpose`, which refuses an undeclared name or a
+  second wrapper:
+
+  * transaction lifecycle — ``add_transaction``, ``mark_prepared``,
+    ``finish_commit`` and ``_abort_task``, which the runtime and its
+    subsystems invoke through attribute lookup, emit ``arrive`` /
+    ``prepared`` / ``commit`` / ``abort`` probes;
+  * scheduling boundaries — ``schedule``, invoked the same way by every
+    send site (the issue/op fan-out, commit protocols, failure
+    injection, the network channel), emits a ``sched`` probe: the
+    payload at *send* time. Paired with the later ``event`` dispatch
+    probe this exposes every service interval and network hop without
+    any hot-path test in the disabled mode;
 
 * the run loop's per-event seam: :class:`~repro.sim.events.
   HandlerRegistry` deliberately has no ``__slots__`` so an instance
@@ -20,19 +36,7 @@ probe is installed by *interposition* when — and only when — an
   crash/unavailable/commit aborts, crashes, waits, commit messages,
   prepared blocks) — every one of those counters is incremented by the
   runtime immediately *before* the abort it explains, which is what
-  lets the tracer attribute abort causes with a LIFO stack;
-* transaction lifecycle: the hub shadows the instance methods the
-  runtime and its subsystems invoke through attribute lookup
-  (``add_transaction``, ``mark_prepared``, ``finish_commit``,
-  ``_abort_task``) with wrappers emitting ``arrive`` / ``prepared`` /
-  ``commit`` / ``abort`` probes;
-* scheduling boundaries: ``sim.schedule`` is likewise an instance
-  method invoked through attribute lookup by every send site (the
-  issue/op fan-out, commit protocols, failure injection), so the hub
-  shadows it with a wrapper emitting a ``sched`` probe — the payload
-  at *send* time. Paired with the later ``event`` dispatch probe this
-  exposes every service interval and network hop (queueing/fan-out
-  boundaries) without any hot-path test in the disabled mode.
+  lets the tracer attribute abort causes with a LIFO stack.
 
 When 1-in-N transaction sampling is requested (``sample_every > 1``),
 the hub withholds the per-transaction probes of unsampled
@@ -139,7 +143,7 @@ class ProbeSink:
     """
 
     def bind(self, sim) -> None:
-        """Called once at attach time with the simulator."""
+        """Called once, when the hub is built, with the simulator."""
 
     def on_probe(self, kind: str, time: float, args: tuple) -> None:
         raise NotImplementedError
@@ -221,11 +225,11 @@ def _sample_keep(kind: str, args: tuple, every: int) -> bool:
 class _CountedResult(SimulationResult):
     """A result whose monitored counter writes emit probes.
 
-    Installed by ``result.__class__`` swap at attach time and swapped
-    back at finalize (so sweep workers can pickle the result).
+    Installed by ``result.__class__`` swap when the hub is built and
+    swapped back at finalize (so sweep workers can pickle the result).
     """
 
-    _probe = None  # set per instance at attach
+    _probe = None  # set per instance by the hub
 
     def __setattr__(self, name, value):
         object.__setattr__(self, name, value)
@@ -236,11 +240,12 @@ class _CountedResult(SimulationResult):
 class ObserverHub:
     """Builds the configured sinks and interposes them on a simulator.
 
-    Construction wires nothing; :meth:`attach` installs every probe.
-    Extra custom sinks may be passed alongside the configured ones::
+    Construction installs every probe; a simulator takes at most one
+    hub (a second raises ValueError before wrapping anything). Extra
+    custom sinks may be passed alongside the configured ones::
 
-        hub = ObserverHub(sim, ObserveConfig(trace=True), [my_sink])
-        hub.attach()
+        sim = Simulator(system, "wound-wait", config)  # observe unset
+        hub = ObserverHub(sim, ObserveConfig(), [my_sink])
         sim.observe = hub   # so run() finalizes it
     """
 
@@ -301,7 +306,7 @@ class ObserverHub:
         else:
             self._full = tuple(self._sinks)
             self._sampled = ()
-        self._attached = False
+        self._interpose()
 
     # ------------------------------------------------------------------
     # emission
@@ -322,17 +327,75 @@ class ObserverHub:
     # interposition
     # ------------------------------------------------------------------
 
-    def attach(self) -> None:
-        """Install every probe on the simulator (idempotent)."""
-        if self._attached:
-            return
-        self._attached = True
+    def _interpose(self) -> None:
+        """Install every probe on the simulator."""
         sim = self.sim
+        emit = self._emit
+
+        # 1. Scheduling probes, the first declared seam replaced — so
+        # on a simulator that already has a hub, ``interpose`` raises
+        # before anything is wrapped. Every send site calls
+        # ``sim.schedule`` through attribute lookup, so the wrapper
+        # exposes each payload at *send* time — the opening boundary
+        # of every service interval and network hop.
+        orig_schedule = sim.schedule
+
+        def schedule(delay, payload, _orig=orig_schedule, _emit=emit):
+            _emit("sched", payload)
+            _orig(delay, payload)
+
+        sim.interpose("schedule", schedule)
+
+        # 2. Lifecycle probes through the other declared seams. All
+        # four are invoked through attribute lookup at call time (by
+        # the commit protocols, the arrival process, and the abort
+        # cascade driver), so each wrapper intercepts every call site.
+        orig_add = sim.add_transaction
+
+        def add_transaction(txn):
+            index = orig_add(txn)
+            emit("arrive", (index,))
+            return index
+
+        sim.interpose("add_transaction", add_transaction)
+
+        orig_prepared = sim.mark_prepared
+
+        def mark_prepared(inst):
+            orig_prepared(inst)
+            emit("prepared", (inst.index,))
+
+        sim.interpose("mark_prepared", mark_prepared)
+
+        orig_commit = sim.finish_commit
+
+        def finish_commit(inst):
+            orig_commit(inst)
+            emit("commit", (inst.index,))
+
+        sim.interpose("finish_commit", finish_commit)
+
+        # _abort_task is a generator function; the runtime drives a
+        # freshly created generator immediately (LIFO cascade), and
+        # the task body aborts iff the instance is still RUNNING at
+        # creation — so emitting here, under the same guard, reports
+        # exactly the aborts that happen.
+        from repro.sim.runtime import _RUNNING
+
+        orig_abort_task = sim._abort_task
+
+        def _abort_task(inst):
+            if inst.status == _RUNNING:
+                emit("abort", (inst.index, inst.attempt))
+            return orig_abort_task(inst)
+
+        sim.interpose("_abort_task", _abort_task)
+
         for sink in self._sinks:
             sink.bind(sim)
         sinks = tuple(self._sinks)
 
-        # 1. Per-event probe through the registry's dispatch seam.
+        # 3. Per-event probe through the registry's dispatch seam.
         registry = sim._registry
         handlers = registry._handlers  # shared dict; grows in place
 
@@ -361,75 +424,14 @@ class ObserverHub:
 
         registry.dispatch = dispatch
 
-        # 1b. Scheduling probes: ``sim.schedule`` is invoked through
-        # attribute lookup by every send site, so an instance-attribute
-        # shadow exposes each payload at *send* time — the opening
-        # boundary of every service interval and network hop.
-        orig_schedule = sim.schedule
-
-        def schedule(
-            delay, payload, _orig=orig_schedule, _emit=self._emit
-        ):
-            _emit("sched", payload)
-            _orig(delay, payload)
-
-        sim.schedule = schedule
-
-        # 2. Lock-cell probes: tee in front of each site's observer.
+        # 4. Lock-cell probes: tee in front of each site's observer.
         for sid, site in enumerate(sim._site_list):
             site.observer = _TeeCellObserver(self, sid, site.observer)
 
-        # 3. Counter probes via the result-class swap.
+        # 5. Counter probes via the result-class swap.
         result = sim.result
         result.__class__ = _CountedResult
         object.__setattr__(result, "_probe", self._on_counter)
-
-        # 4. Lifecycle probes via instance-method shadowing. All four
-        # originals are invoked through attribute lookup at call time
-        # (by the commit protocols, the arrival process, and the abort
-        # cascade driver), so shadowing intercepts every call site.
-        emit = self._emit
-
-        orig_add = sim.add_transaction
-
-        def add_transaction(txn):
-            index = orig_add(txn)
-            emit("arrive", (index,))
-            return index
-
-        sim.add_transaction = add_transaction
-
-        orig_prepared = sim.mark_prepared
-
-        def mark_prepared(inst):
-            orig_prepared(inst)
-            emit("prepared", (inst.index,))
-
-        sim.mark_prepared = mark_prepared
-
-        orig_commit = sim.finish_commit
-
-        def finish_commit(inst):
-            orig_commit(inst)
-            emit("commit", (inst.index,))
-
-        sim.finish_commit = finish_commit
-
-        # _abort_task is a generator function; the runtime drives a
-        # freshly created generator immediately (LIFO cascade), and
-        # the task body aborts iff the instance is still RUNNING at
-        # creation — so emitting here, under the same guard, reports
-        # exactly the aborts that happen.
-        from repro.sim.runtime import _RUNNING
-
-        orig_abort_task = sim._abort_task
-
-        def _abort_task(inst):
-            if inst.status == _RUNNING:
-                emit("abort", (inst.index, inst.attempt))
-            return orig_abort_task(inst)
-
-        sim._abort_task = _abort_task
 
     def finalize(self) -> None:
         """Flush sinks onto the result and restore picklability."""

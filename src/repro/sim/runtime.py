@@ -46,21 +46,25 @@ which subsystems happen to be attached: one up/down flag array
 routing path (:meth:`~repro.sim.replication.ReplicaManager.read_sids`
 / ``write_sids``, which answer from constant tables while every site
 is up and no copy is stale), one issue loop (:meth:`Simulator.
-_issue_nodes`), one cross-site message seam (:meth:`Simulator.
-transmit`, whose default body is :meth:`Simulator.schedule`), and one
+_issue_nodes`), one cross-site message path (:meth:`Simulator.
+transmit`, which schedules the message directly or, with a network
+model, hands it to the model's retransmission channel), and one
 work-pending test (:meth:`Simulator.work_pending`) that every upkeep
 chain — crashes, partition episodes, retransmissions — and the run
 loop's drain break consult.
 
 Observability (:mod:`repro.sim.observe`) rides on top: when
 ``config.observe`` requests it, an :class:`~repro.sim.observe.
-ObserverHub` interposes probes on the dispatch seam, the schedule
-seam (:meth:`Simulator.schedule` is shadowed so every enqueued event
-emits a ``sched`` probe at send time, which lets consumers tell
-in-flight network messages from idle waiting), the lock-cell
-observers, the result counters, and the lifecycle methods — tracing,
-metrics time series, flight-recorder dumps, and latency attribution
-all come from that stream. With the field unset no probe is installed.
+ObserverHub` interposes probes on the declared seams
+(:attr:`Simulator.SEAMS`, replaced only through :meth:`Simulator.
+interpose`: ``schedule`` emits a ``sched`` probe at send time, which
+lets consumers tell in-flight network messages from idle waiting, and
+the lifecycle methods emit ``arrive``/``prepared``/``commit``/
+``abort``), the dispatch seam, the lock-cell observers and the result
+counters — tracing, metrics time series, flight-recorder dumps, and
+latency attribution all come from that stream. It is the only module
+that replaces simulator methods; with the field unset no probe is
+installed.
 
 Fast-path architecture: at construction the simulator *interns* the
 schema — entities and sites are mapped to dense integer ids in sorted
@@ -412,37 +416,36 @@ class Simulator:
             self.replicas.schema.replication_factor
         )
         self._register_core_handlers()
-        # Durable storage wires before the commit protocols: their
-        # force points call into it, so the flush/requery handlers
-        # must be registered by the time any protocol event runs.
+        # Compose the subsystems; each wires itself (handlers, first
+        # events, probes) in its constructor. Order: durability ->
+        # commit -> failures -> network -> arrivals -> observer hub.
+        # The protocols' force points call into durable storage; the
+        # crash, partition and arrival chains draw their first events
+        # in this order, which the seed event order pins; the hub comes
+        # last so its probes wrap everything the others installed. Two
+        # keep a separate step: a commit protocol is public API
+        # (make_protocol) built without a simulator, and the arrival
+        # process was built before the schema was interned.
+        config = self.config
         self.durability = DurabilityManager(self)
-        self.durability.attach()
-        self.commit = make_protocol(self.config.commit_protocol)
+        self.commit = make_protocol(config.commit_protocol)
         self.commit.attach(self)
         self._retains_locks = self.commit.retains_locks
-        self.failures: FailureInjector | None = None
-        if self.config.failure_rate > 0:
-            self.failures = FailureInjector(self)
-            self.failures.attach()
-        # The adversarial network attaches after the protocols wired
-        # their handlers (its delivery path re-dispatches their event
-        # kinds) and before observability (so probe shadows wrap the
-        # whole chaos path). With the field unset or all-zero, nothing
-        # attaches and transmit() keeps its default body, schedule().
-        self.network: NetworkModel | None = None
-        if self.config.network is not None and self.config.network.enabled:
-            self.network = NetworkModel(self)
-            self.network.attach()
+        self.failures: FailureInjector | None = (
+            FailureInjector(self) if config.failure_rate > 0 else None
+        )
+        self.network: NetworkModel | None = (
+            NetworkModel(self)
+            if config.network is not None and config.network.enabled
+            else None
+        )
         if self.arrivals is not None:
-            self.arrivals.attach()
-        # Observability attaches last, once every subsystem wired its
-        # handlers and observers: all probing is interposition (see
-        # repro.sim.observe.probes), so when the field is unset the
-        # simulator runs the exact uninstrumented instruction stream.
-        self.observe: ObserverHub | None = None
-        if self.config.observe is not None and self.config.observe.enabled:
-            self.observe = ObserverHub(self, self.config.observe)
-            self.observe.attach()
+            self.arrivals.start()
+        self.observe: ObserverHub | None = (
+            ObserverHub(self, config.observe)
+            if config.observe is not None and config.observe.enabled
+            else None
+        )
 
     def _register_core_handlers(self) -> None:
         reg = self._registry
@@ -508,6 +511,25 @@ class Simulator:
     # subsystem surface (commit protocols, failure injection)
     # ------------------------------------------------------------------
 
+    #: The methods the observer hub replaces on an instance, through
+    #: :meth:`interpose`: each is invoked by attribute lookup at call
+    #: time, so one instance attribute intercepts every call site. The
+    #: hub's other three probe points are not simulator methods: the
+    #: registry's ``dispatch`` shadow, the lock-cell observer tee, and
+    #: the ``result.__class__`` swap.
+    SEAMS = frozenset({
+        "schedule", "add_transaction", "mark_prepared", "finish_commit",
+        "_abort_task",
+    })
+
+    def interpose(self, name: str, fn) -> None:
+        """Replace seam ``name`` by ``fn``, once, on this instance."""
+        if name not in self.SEAMS:
+            raise ValueError(f"{name!r} is not a declared seam")
+        if name in self.__dict__:
+            raise ValueError(f"seam {name!r} is already interposed")
+        setattr(self, name, fn)
+
     def register_handler(self, kind: str, handler) -> None:
         """Claim an event kind for a subsystem handler."""
         self._registry.register(kind, handler)
@@ -517,12 +539,6 @@ class Simulator:
 
         Inlines :meth:`EventQueue.push` — one schedule per simulated
         operation makes the extra frame measurable.
-
-        This is also an observability seam: when observers are
-        attached, :meth:`ObserverHub.attach` shadows this method on
-        the instance with a wrapper that emits a ``sched`` probe
-        before enqueueing, so consumers see message *send* times, not
-        just deliveries.
         """
         time = self._now + delay
         if not (time >= 0):
@@ -536,29 +552,29 @@ class Simulator:
     ) -> None:
         """Send a cross-site message from ``src_sid`` to ``dst_sid``.
 
-        The network seam: the default body is exactly
-        :meth:`schedule` — a perfect network — and
-        :class:`~repro.sim.network.NetworkModel` shadows this method
-        on the instance to apply loss, duplication, jitter, partition
-        cuts, and the retransmission substrate. ``self.schedule`` is
-        resolved at call time, so the ObserverHub's ``sched``-probe
-        shadow keeps seeing every enqueue either way.
+        Without a network model, and within a site (which keeps paxos
+        F=0 degenerate to 2PC), the message is simply scheduled;
+        otherwise the model's retransmission channel carries it.
         """
-        self.schedule(delay, payload)
+        network = self.network
+        if network is None or src_sid == dst_sid:
+            self.schedule(delay, payload)
+        else:
+            network.channel.send(src_sid, dst_sid, delay, payload)
 
     def suspect_down(self, site: str) -> bool:
         """Whether a protocol should *suspect* ``site`` has failed.
 
-        Without a network model this is omniscient truth
-        (``not site_is_up``), the pre-network behaviour. With one
-        attached it becomes timeout-based failure suspicion: a site is
-        suspected while it is crashed *or* while the oldest unacked
-        message addressed to it is older than the configured
-        ``suspect_timeout`` — which is all a real protocol could
-        observe, and what lets a partitioned-but-up site be routed
+        A crashed site always is. An up site is only with a network
+        model, by timeout (:meth:`~repro.sim.network.NetworkModel.
+        suspects`) — what lets a partitioned-but-up site be routed
         around without ever being marked crashed.
         """
-        return not self.site_is_up(site)
+        sid = self._site_ids[site]
+        if not self._site_up[sid]:
+            return True
+        network = self.network
+        return network is not None and network.suspects(sid)
 
     @property
     def now(self) -> float:
@@ -805,6 +821,16 @@ class Simulator:
                             )
             for granted in site.release(inst.index, eid):
                 self._on_grant(granted, eid, held_at)
+
+    def set_retained(self, inst: _Instance, entry: tuple, held: bool) -> None:
+        """Add or drop one retained-lock entry (a crash wipe, a log
+        replay), keeping the pending-work count in step."""
+        if held:
+            inst.retained.add(entry)
+            self._retained_total += 1
+        else:
+            inst.retained.discard(entry)
+            self._retained_total -= 1
 
     def crash_site(self, site_name: str) -> None:
         """Abort every RUNNING transaction with lock state at the site.
@@ -1582,7 +1608,7 @@ class Simulator:
         heap = queue._heap  # borrowed: pop inline, one C call per event
         heappop = _heappop
         registry = self._registry
-        # Instrumentation (the waits-for invariant suite) shadows
+        # The observer hub (and the waits-for invariant suite) shadows
         # ``dispatch`` per registry instance; honour the wrapper when
         # present, otherwise route events through the handler table
         # directly — one dict hit and call per event instead of an

@@ -193,7 +193,6 @@ class TestCustomSink:
         config = SimulationConfig(seed=5, network_delay=0.5)
         sim = Simulator(contended_system(), "wound-wait", config)
         hub = ObserverHub(sim, ObserveConfig(), extra_sinks=[sink])
-        hub.attach()
         sim.observe = hub
         result = sim.run()
         assert sink.kinds["commit"] == result.committed

@@ -28,7 +28,9 @@ from repro.sim import (
     Simulator,
     simulate,
 )
+from repro.sim.durability import DurabilityConfig
 from repro.sim.network import NetworkConfig
+from repro.sim.observe import ObserverHub
 from repro.sim.workload import WorkloadSpec, random_system
 
 # The bench's behaviour-digest surface (benchmarks/bench_core_speed.py
@@ -194,6 +196,77 @@ class TestDigestTransparency:
         assert type(result) is SimulationResult
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
+
+
+def _every_layer(observe: ObserveConfig | None):
+    """A run with every subsystem on: paxos commit, crashes, a lossy
+    partitioning network, costly log forces, arrivals, replicas."""
+    spec = WorkloadSpec(
+        n_entities=12, n_sites=4, entities_per_txn=(2, 3),
+        actions_per_entity=(0, 1), hotspot_skew=0.5,
+        replication_factor=3,
+    )
+    config = SimulationConfig(
+        arrival_rate=0.6, max_transactions=60, workload=spec, seed=5,
+        replica_protocol="quorum", commit_protocol="paxos-commit",
+        network_delay=0.5, failure_rate=0.005, repair_time=5.0,
+        network=NetworkConfig(
+            loss_rate=0.1, partition_rate=0.01, partition_duration=10.0,
+        ),
+        durability=DurabilityConfig(flush_time=0.5),
+        observe=observe,
+    )
+    return Simulator(TransactionSystem([]), "wound-wait", config)
+
+
+class TestSeamContract:
+    """Only the observer hub replaces simulator methods, and only the
+    declared seams, each exactly once."""
+
+    FULL = ObserveConfig(
+        trace=True, trace_capacity=1 << 20, metrics_window=20.0,
+        attribution=True,
+    )
+
+    def test_every_layer_on_wraps_each_seam_once(self):
+        sim = _every_layer(self.FULL)
+        assert sim.failures is not None and sim.network is not None
+        assert sim.arrivals is not None and sim.observe is not None
+        assert Simulator.SEAMS <= sim.__dict__.keys()
+        assert "transmit" not in sim.__dict__
+        assert "suspect_down" not in sim.__dict__
+        assert "dispatch" in sim._registry.__dict__
+        result = sim.run()
+        # A seam wrapped twice would emit its probe twice.
+        tracer = sim.observe.tracer
+        assert tracer.dropped == 0
+        kinds = [record["kind"] for record in tracer.records()]
+        assert kinds.count("commit") == result.committed > 0
+        assert kinds.count("arrive") == result.injected
+        assert kinds.count("abort") == result.aborts
+
+    def test_second_hub_raises_before_wrapping(self):
+        sim = _every_layer(self.FULL)
+        seams = {name: sim.__dict__[name] for name in Simulator.SEAMS}
+        dispatch = sim._registry.__dict__["dispatch"]
+        observers = [site.observer for site in sim._site_list]
+        with pytest.raises(ValueError, match="already interposed"):
+            ObserverHub(sim, ObserveConfig(trace=True))
+        assert {n: sim.__dict__[n] for n in Simulator.SEAMS} == seams
+        assert sim._registry.__dict__["dispatch"] is dispatch
+        assert [site.observer for site in sim._site_list] == observers
+        with pytest.raises(ValueError, match="not a declared seam"):
+            sim.interpose("run", lambda: None)
+        assert "run" not in sim.__dict__
+
+    def test_network_alone_replaces_nothing(self):
+        sim = _every_layer(None)
+        assert sim.network is not None and sim.observe is None
+        replaced = sim.__dict__.keys() & (
+            Simulator.SEAMS | {"transmit", "suspect_down"}
+        )
+        assert not replaced
+        assert "dispatch" not in sim._registry.__dict__
 
 
 class TestSamplerIntegratesBack:
