@@ -236,9 +236,15 @@ class SimulationConfig:
         # (events scheduled into the past); reject the rate/duration
         # parameters outright, mirroring WorkloadSpec's validation.
         for label, value in (
+            ("service_time", self.service_time),
             ("network_delay", self.network_delay),
+            ("arrival_spread", self.arrival_spread),
+            ("restart_delay", self.restart_delay),
+            ("restart_jitter", self.restart_jitter),
+            ("timeout", self.timeout),
             ("failure_rate", self.failure_rate),
             ("repair_time", self.repair_time),
+            ("warmup_time", self.warmup_time),
         ):
             if value < 0:
                 raise ValueError(f"{label} must be >= 0, got {value}")
@@ -247,6 +253,7 @@ class SimulationConfig:
         for label, value in (
             ("commit_timeout", self.commit_timeout),
             ("detection_interval", self.detection_interval),
+            ("catchup_time", self.catchup_time),
         ):
             if value <= 0:
                 raise ValueError(f"{label} must be > 0, got {value}")

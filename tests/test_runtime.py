@@ -53,14 +53,19 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["network_delay", "commit_timeout", "failure_rate", "repair_time"],
+        [
+            "network_delay", "commit_timeout", "failure_rate",
+            "repair_time", "catchup_time", "service_time",
+            "arrival_spread", "restart_delay", "restart_jitter", "timeout",
+            "warmup_time",
+        ],
     )
     def test_negative_value_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             SimulationConfig(**{field: -0.5})
 
     @pytest.mark.parametrize(
-        "field", ["commit_timeout", "detection_interval"]
+        "field", ["commit_timeout", "detection_interval", "catchup_time"]
     )
     def test_zero_timer_period_rejected(self, field):
         # A zero period re-arms its timer at the same instant forever.
