@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.core.entity import DatabaseSchema
 from repro.core.operations import Operation, OpKind
 from repro.core.system import TransactionSystem
-from repro.core.transaction import Transaction
+from repro.core.transaction import MalformedTransactionError, Transaction
 
 __all__ = ["ParseError", "format_system", "parse_system"]
 
@@ -65,8 +65,9 @@ def _strip_comment(raw: str) -> str:
 class _TxnBlock:
     """Accumulates one transaction's ops and arcs during parsing."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, line_no: int):
         self.name = name
+        self.line_no = line_no  # of the block's ``txn`` line
         self.ops: list[Operation] = []
         self.arcs: list[tuple[int, int]] = []
         self._label_nodes: dict[str, list[int]] = {}
@@ -119,6 +120,7 @@ def parse_system(text: str) -> TransactionSystem:
     """
     placement: dict[str, str] = {}
     blocks: list[_TxnBlock] = []
+    names: set[str] = set()
     current: _TxnBlock | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -149,7 +151,10 @@ def parse_system(text: str) -> TransactionSystem:
                 raise ParseError(line_no, "nested txn block")
             if len(tokens) != 2:
                 raise ParseError(line_no, "expected 'txn NAME'")
-            current = _TxnBlock(tokens[1])
+            if tokens[1] in names:
+                raise ParseError(line_no, f"duplicate txn {tokens[1]!r}")
+            names.add(tokens[1])
+            current = _TxnBlock(tokens[1], line_no)
         elif keyword == "end":
             if current is None:
                 raise ParseError(line_no, "'end' outside txn block")
@@ -184,10 +189,14 @@ def parse_system(text: str) -> TransactionSystem:
     for entity in sorted(mentioned - set(placement)):
         placement[entity] = f"site[{entity}]"
     schema = DatabaseSchema(placement)
-    transactions = [
-        Transaction(block.name, block.ops, block.arcs, schema)
-        for block in blocks
-    ]
+    transactions = []
+    for block in blocks:
+        try:
+            transactions.append(
+                Transaction(block.name, block.ops, block.arcs, schema)
+            )
+        except MalformedTransactionError as exc:
+            raise ParseError(block.line_no, str(exc)) from exc
     return TransactionSystem(transactions)
 
 

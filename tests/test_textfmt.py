@@ -68,6 +68,13 @@ class TestParse:
             ("txn T\n  seq Lx A.x A.x Ux\n  arc A.x#7 -> Ux\nend\n",
              "occurrence"),
             ("", "no transactions"),
+            ("txn T\n  seq Lx Lx Ux\nend\n", "line 1: T: two Lock"),
+            ("txn S\n  seq Ly Uy\nend\ntxn T\n  seq Ux Lx\nend\n",
+             "line 4: T: Lx does not precede Ux"),
+            ("txn T\n  seq Lx Ux\n  arc Ux -> Lx\nend\n",
+             "line 1: T: precedence arcs invalid"),
+            ("txn T\n  seq Lx Ux\nend\ntxn T\n  seq Ly Uy\nend\n",
+             "line 4: duplicate txn 'T'"),
         ],
     )
     def test_errors(self, bad, fragment):
