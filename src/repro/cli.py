@@ -41,17 +41,37 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
-from repro.io.textfmt import parse_system
+from repro.io.textfmt import ParseError, parse_system
 
 __all__ = ["main"]
 
 
+class _BadInput(Exception):
+    """Bad user input: :func:`main` reports it in one line, status 2."""
+
+
 def _load_system(path: str):
     with open(path, encoding="utf-8") as handle:
-        return parse_system(handle.read())
+        text = handle.read()
+    try:
+        return parse_system(text)
+    except ParseError as exc:
+        raise _BadInput(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Report a ValueError raised while building config objects as
+    bad input; one raised anywhere else is a bug and keeps its
+    traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _BadInput(str(exc)) from exc
 
 
 def _is_trace_artifact(path: str) -> bool:
@@ -413,29 +433,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 if runs > 1:
                     parts.append(f"run{run}")
                 suffix = "-".join(parts)
-                observe = _observe_config(args, suffix)
-                config = SimulationConfig(
-                    seed=args.seed + run,
-                    max_time=args.max_time,
-                    network_delay=args.network_delay,
-                    commit_protocol=protocol,
-                    commit_timeout=args.commit_timeout,
-                    commit_fault_tolerance=args.commit_fault_tolerance,
-                    failure_rate=args.failure_rate,
-                    repair_time=args.repair_time,
-                    replica_protocol=args.replica_protocol,
-                    catchup_time=args.catchup_time,
-                    arrival_rate=args.arrival_rate,
-                    max_transactions=args.max_transactions,
-                    warmup_time=args.warmup,
-                    # The workload spec also carries the replication
-                    # factor, so closed-batch (FILE) runs need it too.
-                    workload=_workload_spec(args),
-                    workload_seed=args.workload_seed,
-                    observe=observe,
-                    network=_network_config(args),
-                    durability=_durability_config(args),
-                )
+                with _config_errors():
+                    observe = _observe_config(args, suffix)
+                    config = SimulationConfig(
+                        seed=args.seed + run,
+                        max_time=args.max_time,
+                        network_delay=args.network_delay,
+                        commit_protocol=protocol,
+                        commit_timeout=args.commit_timeout,
+                        commit_fault_tolerance=args.commit_fault_tolerance,
+                        failure_rate=args.failure_rate,
+                        repair_time=args.repair_time,
+                        replica_protocol=args.replica_protocol,
+                        catchup_time=args.catchup_time,
+                        arrival_rate=args.arrival_rate,
+                        max_transactions=args.max_transactions,
+                        warmup_time=args.warmup,
+                        # The workload spec also carries the replication
+                        # factor, so closed-batch (FILE) runs need it too.
+                        workload=_workload_spec(args),
+                        workload_seed=args.workload_seed,
+                        observe=observe,
+                        network=_network_config(args),
+                        durability=_durability_config(args),
+                    )
                 sim = Simulator(system, policy, config)
                 results.append(sim.run())
                 if observe is not None:
@@ -466,49 +487,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sim.runtime import SimulationConfig
     from repro.util.render import format_table
 
-    observe = None
-    if args.cell_metrics > 0 or args.cell_attribution:
-        observe = ObserveConfig(
-            metrics_window=args.cell_metrics,
-            attribution=args.cell_attribution,
+    with _config_errors():
+        observe = None
+        if args.cell_metrics > 0 or args.cell_attribution:
+            observe = ObserveConfig(
+                metrics_window=args.cell_metrics,
+                attribution=args.cell_attribution,
+            )
+        chaos = any(r > 0 for r in args.loss_rates) or any(
+            r > 0 for r in args.partition_rates
         )
-    chaos = any(r > 0 for r in args.loss_rates) or any(
-        r > 0 for r in args.partition_rates
-    )
-    network = None
-    if chaos:
-        from repro.sim.network import NetworkConfig
+        network = None
+        if chaos:
+            from repro.sim.network import NetworkConfig
 
-        # The template every chaos cell derives from (its loss and
-        # partition rates are overridden per cell).
-        network = NetworkConfig(
-            partition_duration=args.partition_duration
+            # The template every chaos cell derives from (its loss and
+            # partition rates are overridden per cell).
+            network = NetworkConfig(
+                partition_duration=args.partition_duration
+            )
+        spec = SweepSpec(
+            policies=tuple(args.policies),
+            protocols=tuple(args.commit),
+            replica_protocols=tuple(args.replica_protocols),
+            arrival_rates=tuple(args.arrival_rates),
+            failure_rates=tuple(args.failure_rates),
+            loss_rates=tuple(args.loss_rates),
+            partition_rates=tuple(args.partition_rates),
+            seeds=tuple(args.seeds),
+            workload=_workload_spec(args),
+            base=SimulationConfig(
+                network_delay=args.network_delay,
+                commit_timeout=args.commit_timeout,
+                commit_fault_tolerance=args.commit_fault_tolerance,
+                repair_time=args.repair_time,
+                catchup_time=args.catchup_time,
+                max_transactions=args.max_transactions,
+                warmup_time=args.warmup,
+                workload_seed=args.workload_seed,
+                max_time=args.max_time,
+                observe=observe,
+                network=network,
+                durability=_durability_config(args),
+            ),
         )
-    spec = SweepSpec(
-        policies=tuple(args.policies),
-        protocols=tuple(args.commit),
-        replica_protocols=tuple(args.replica_protocols),
-        arrival_rates=tuple(args.arrival_rates),
-        failure_rates=tuple(args.failure_rates),
-        loss_rates=tuple(args.loss_rates),
-        partition_rates=tuple(args.partition_rates),
-        seeds=tuple(args.seeds),
-        workload=_workload_spec(args),
-        base=SimulationConfig(
-            network_delay=args.network_delay,
-            commit_timeout=args.commit_timeout,
-            commit_fault_tolerance=args.commit_fault_tolerance,
-            repair_time=args.repair_time,
-            catchup_time=args.catchup_time,
-            max_transactions=args.max_transactions,
-            warmup_time=args.warmup,
-            workload_seed=args.workload_seed,
-            max_time=args.max_time,
-            observe=observe,
-            network=network,
-            durability=_durability_config(args),
-        ),
-    )
     cells = spec.cells()
     mode = "serially" if args.serial else "in parallel"
     print(
@@ -1151,7 +1173,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,12 @@
 """Tests for the show/repair CLI subcommands and simulator options."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.io.textfmt import parse_system
 
@@ -84,6 +89,45 @@ class TestSimulateNetworkDelay:
         )
         assert code == 0
         assert "wound-wait" in capsys.readouterr().out
+
+
+class TestBadInputIsOneLine:
+    """Bad input exits 2 with a one-line message, not a traceback."""
+
+    @staticmethod
+    def _run(*argv):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env,
+        )
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("txn T\n  seq Lx Lx Ux\nend\n", "line 1: T: two Lock"),
+            ("txn T\n  seq Lx Ux\n", "txn 'T' not closed"),
+            ("schema s1: x\nschema s2: x\n", "placed at two sites"),
+        ],
+    )
+    def test_parse_error(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.txn"
+        path.write_text(text)
+        proc = self._run("simulate", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith(f"repro simulate: {path}: line ")
+        assert fragment in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    def test_invalid_config_value(self, broken_file):
+        proc = self._run("simulate", broken_file, "--commit-timeout", "0")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr == (
+            "repro simulate: commit_timeout must be > 0, got 0.0\n"
+        )
 
 
 class TestSimulateOpenSystem:
