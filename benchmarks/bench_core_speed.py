@@ -441,11 +441,15 @@ def main(argv: list[str] | None = None) -> int:
                 if name in base and base[name]["ops_per_sec"] > 0
             }
 
+    # Read the baseline before writing: --output may name the same file.
+    errors = None
+    if args.check is not None:
+        errors = check_regression(fresh, args.check, mode, args.tolerance)
+
     args.output.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {args.output}")
 
-    if args.check is not None:
-        errors = check_regression(fresh, args.check, mode, args.tolerance)
+    if errors is not None:
         if errors:
             for err in errors:
                 print(f"REGRESSION: {err}", file=sys.stderr)

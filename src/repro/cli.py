@@ -54,8 +54,17 @@ class _BadInput(Exception):
     """Bad user input: :func:`main` reports it in one line, status 2."""
 
 
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """Report a file that cannot be read as bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise _BadInput(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _load_system(path: str):
-    with open(path, encoding="utf-8") as handle:
+    with _file_errors(path), open(path, encoding="utf-8") as handle:
         text = handle.read()
     try:
         return parse_system(text)
@@ -84,7 +93,7 @@ def _is_trace_artifact(path: str) -> bool:
     """
     import json
 
-    with open(path, encoding="utf-8") as fh:
+    with _file_errors(path), open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -471,7 +480,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.observe.trace import summarize_trace
 
-    print(summarize_trace(args.file))
+    with _file_errors(args.file):
+        summary = summarize_trace(args.file)
+    print(summary)
     return 0
 
 
@@ -722,6 +733,8 @@ def _add_open_system_args(
     single_rate: bool = True,
 ) -> None:
     """Open-system and workload-generation flags (simulate, sweep)."""
+    from repro.sim.workload import SHAPES
+
     if single_rate:  # sweep takes --arrival-rates as a grid axis instead
         p.add_argument(
             "--arrival-rate",
@@ -789,7 +802,7 @@ def _add_open_system_args(
     p.add_argument(
         "--shape",
         default="random",
-        choices=["random", "two_phase", "sequential", "ordered_2pl"],
+        choices=SHAPES,
         help="locking style of generated transactions",
     )
     p.add_argument(
@@ -816,6 +829,10 @@ def _add_open_system_args(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.commit import protocol_names
+    from repro.sim.policies import policy_names
+    from repro.sim.replication import replica_control_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -877,6 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies",
         nargs="+",
         default=["blocking", "wound-wait", "wait-die", "detect"],
+        choices=policy_names(),
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -893,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--commit",
         nargs="+",
         default=["instant"],
-        choices=["instant", "paxos-commit", "presumed-abort", "two-phase"],
+        choices=protocol_names(),
         help="atomic-commit protocol(s) to run each policy under",
     )
     p.add_argument(
@@ -926,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--replica-protocol",
         default="rowa",
-        choices=["rowa", "rowa-available", "quorum"],
+        choices=replica_control_names(),
         help="replica-control protocol routing reads/writes over the "
         "--replication copies",
     )
@@ -1021,19 +1039,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a policy x protocol x rate x failure x seed grid",
     )
     p.add_argument(
-        "--policies", nargs="+", default=["wound-wait", "wait-die"]
+        "--policies",
+        nargs="+",
+        default=["wound-wait", "wait-die"],
+        choices=policy_names(),
     )
     p.add_argument(
         "--commit",
         nargs="+",
         default=["instant"],
-        choices=["instant", "paxos-commit", "presumed-abort", "two-phase"],
+        choices=protocol_names(),
     )
     p.add_argument(
         "--replica-protocols",
         nargs="+",
         default=["rowa"],
-        choices=["rowa", "rowa-available", "quorum"],
+        choices=replica_control_names(),
         help="replica-control protocols as a grid axis",
     )
     p.add_argument(

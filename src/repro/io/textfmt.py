@@ -18,8 +18,9 @@ Example::
 
 Rules:
 
-* ``schema SITE: ENTITY...`` lines define the placement (entities not
-  mentioned default to one site per entity);
+* ``schema SITE: ENTITY...`` lines define the placement. A file with
+  at least one schema line must declare every entity its transactions
+  lock; a file with none places each entity at a site of its own;
 * each ``txn NAME ... end`` block lists ``seq`` chains (each a total
   order of steps) and extra ``arc A -> B`` precedences;
 * a step is referenced by its label: ``Lx``, ``Ux``, ``A.x``; when the
@@ -185,6 +186,15 @@ def parse_system(text: str) -> TransactionSystem:
     if not blocks:
         raise ParseError(1, "no transactions defined")
 
+    if placement:
+        for block in blocks:
+            for op in block.ops:
+                if op.entity not in placement:
+                    raise ParseError(
+                        block.line_no,
+                        f"{block.name}: entity {op.entity!r} is on no "
+                        "schema line",
+                    )
     mentioned = {op.entity for block in blocks for op in block.ops}
     for entity in sorted(mentioned - set(placement)):
         placement[entity] = f"site[{entity}]"

@@ -140,7 +140,8 @@ class ArrivalProcess:
             self.schema = DatabaseSchema(placement)
         # Per-spec generation tables, compiled once: every arrival
         # draws from them and builds its transaction on the trusted
-        # (validation-free) path — bit-identical to random_transaction.
+        # (validation-free) path; closed batches build the same draw
+        # through the validating constructor.
         self.compiled = CompiledWorkload(self.spec, self.schema)
         # One Random reused across arrivals: re-seeding puts it in
         # exactly the state a fresh Random(seed) would start in, minus

@@ -38,13 +38,14 @@ from repro.core.transaction import Transaction
 
 __all__ = [
     "CompiledWorkload",
+    "SHAPES",
     "WorkloadSpec",
     "random_schema",
     "random_system",
     "random_transaction",
 ]
 
-_SHAPES = ("random", "two_phase", "sequential", "ordered_2pl")
+SHAPES = ("random", "two_phase", "sequential", "ordered_2pl")
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,9 @@ class WorkloadSpec:
     replication_factor: int = 1
 
     def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
+        if self.shape not in SHAPES:
             raise ValueError(
-                f"unknown shape {self.shape!r}; choose from {_SHAPES}"
+                f"unknown shape {self.shape!r}; choose from {SHAPES}"
             )
         if self.n_transactions < 0:
             raise ValueError(
@@ -155,72 +156,6 @@ def _hotspot_weights(n: int, skew: float) -> tuple[float, ...]:
     return tuple(1.0 / (1 + i) ** skew for i in range(n))
 
 
-def _pick_entities(
-    rng: random.Random, spec: WorkloadSpec, pool: list[Entity]
-) -> list[Entity]:
-    lo, hi = spec.entities_per_txn
-    count = min(rng.randint(lo, hi), len(pool))
-    if spec.hotspot_skew <= 0:
-        return rng.sample(pool, count)
-    weights = _hotspot_weights(len(pool), spec.hotspot_skew)
-    chosen: list[Entity] = []
-    candidates = list(zip(pool, weights))
-    for _ in range(count):
-        total = sum(w for _e, w in candidates)
-        point = rng.uniform(0, total)
-        acc = 0.0
-        for index, (entity, weight) in enumerate(candidates):
-            acc += weight
-            if point <= acc:
-                chosen.append(entity)
-                del candidates[index]
-                break
-    return chosen
-
-
-def _reference_sequence(
-    rng: random.Random,
-    spec: WorkloadSpec,
-    entities: list[Entity],
-) -> list[Operation]:
-    """A legal total order over the chosen entities' operations."""
-    lo, hi = spec.actions_per_entity
-    chains = {}
-    for entity in entities:
-        n_actions = rng.randint(lo, hi)
-        chains[entity] = (
-            [Operation.lock(entity)]
-            + [Operation.action(entity) for _ in range(n_actions)]
-            + [Operation.unlock(entity)]
-        )
-
-    if spec.shape in ("two_phase", "ordered_2pl"):
-        ordered = sorted(entities) if spec.shape == "ordered_2pl" else (
-            rng.sample(entities, len(entities))
-        )
-        sequence = [Operation.lock(entity) for entity in ordered]
-        middles = [op for e in ordered for op in chains[e][1:-1]]
-        rng.shuffle(middles)
-        sequence.extend(middles)
-        release = ordered[:]
-        if spec.shape != "ordered_2pl":
-            rng.shuffle(release)
-        sequence.extend(
-            Operation.unlock(entity) for entity in reversed(release)
-        )
-        return sequence
-
-    # Random riffle of the per-entity chains.
-    cursors = {entity: 0 for entity in entities}
-    remaining = [entity for entity in entities for _ in chains[entity]]
-    rng.shuffle(remaining)
-    sequence = []
-    for entity in remaining:
-        sequence.append(chains[entity][cursors[entity]])
-        cursors[entity] += 1
-    return sequence
-
-
 def _structural_arcs(
     spec: WorkloadSpec, sequence: list[Operation]
 ) -> list[tuple[int, int]]:
@@ -249,90 +184,21 @@ def _structural_arcs(
     return arcs
 
 
-def random_transaction(
-    name: str,
-    rng: random.Random,
-    schema: DatabaseSchema,
-    spec: WorkloadSpec,
-    entities: list[Entity] | None = None,
-) -> Transaction:
-    """Generate one random valid transaction over ``schema``.
-
-    Args:
-        name: transaction name.
-        rng: seeded randomness source.
-        schema: entity placement; accessed entities are drawn from it.
-        spec: workload parameters.
-        entities: fix the accessed entities instead of sampling them.
-    """
-    pool = list(schema.entities_sorted())
-    accessed = entities if entities is not None else _pick_entities(
-        rng, spec, pool
-    )
-    if not accessed:
-        accessed = [rng.choice(pool)]
-    # Reads are drawn before the sequence so the RNG stream position is
-    # well defined; read_fraction == 0 draws nothing, which is what
-    # keeps historical all-write workloads bit-identical.
-    read_set: frozenset[Entity] = frozenset()
-    if spec.read_fraction > 0:
-        read_set = frozenset(
-            entity
-            for entity in accessed
-            if rng.random() < spec.read_fraction
-        )
-    sequence = _reference_sequence(rng, spec, list(accessed))
-
-    if spec.shape == "sequential":
-        return Transaction.sequential(name, sequence, schema, read_set)
-
-    # Per-site chains from the reference order. The per-node site list
-    # is computed once: the cross-arc double loop below used to call
-    # schema.site_of twice per pair.
-    op_sites = [schema.site_of(op.entity) for op in sequence]
-    arcs: list[tuple[int, int]] = []
-    last_at_site: dict[str, int] = {}
-    for index, site in enumerate(op_sites):
-        if site in last_at_site:
-            arcs.append((last_at_site[site], index))
-        last_at_site[site] = index
-
-    # Extra cross-site arcs consistent with the reference order (the
-    # RNG is drawn for each cross-site pair in (u, v) order — the draw
-    # sequence is part of the workload's identity, so the loop shape
-    # must not change).
-    for u in range(len(sequence)):
-        site_u = op_sites[u]
-        for v in range(u + 1, len(sequence)):
-            if site_u != op_sites[v] and rng.random() < spec.cross_arc_p:
-                arcs.append((u, v))
-
-    # Shape-defining arcs (2PL closure, global lock chain).
-    arcs.extend(_structural_arcs(spec, sequence))
-
-    # The Lock -> Unlock arc is implied by the same-site chain when the
-    # entity's nodes are colocated (they always are — same entity), so
-    # the construction is already well formed.
-    return Transaction(name, sequence, arcs, schema, read_set)
-
-
 class CompiledWorkload:
-    """One spec's generation tables, precomputed once per run.
+    """One spec's generation tables and the workload draw.
 
-    ``random_transaction`` recomputes several spec/schema constants on
-    every call — the sorted entity pool, the hotspot weights, each
-    operation label, every ``site_of`` lookup — which dominates
-    per-arrival cost in open-system runs. Compiling the spec hoists all
-    of it: the pool and weights become shared tuples, the per-entity
-    ``Lx``/``A.x``/``Ux`` :class:`Operation` objects are built once and
-    reused (they are immutable), and entity-to-site routing is one dict
-    hit. :meth:`generate` then draws from the RNG in *exactly* the
-    sequence ``random_transaction`` does — the draw stream is part of a
-    workload's identity, so a compiled generator reproduces the naive
-    one bit for bit — and assembles the result through
-    ``Transaction.trusted`` (the construction invariants hold by the
-    same argument as for ``random_transaction``, so re-validation would
-    only re-prove them).
+    Compiling a spec against a schema precomputes what every draw
+    needs: the sorted entity pool, the hotspot weights, one reusable
+    ``Lx``/``A.x``/``Ux`` :class:`Operation` per entity (they are
+    immutable), and a dict routing each entity to its site.
+    :meth:`draw` is the only implementation of the RNG draw — the draw
+    stream is part of a workload's identity, so its order must not
+    change. Two builds sit on top of it: :meth:`generate` assembles an
+    open-system arrival through ``Transaction.trusted`` (the draw
+    guarantees the construction invariants, so re-validation would
+    only re-prove them), and :func:`random_transaction` /
+    :func:`random_system` assemble closed batches through the
+    validating ``Transaction`` constructor.
     """
 
     __slots__ = (
@@ -356,17 +222,9 @@ class CompiledWorkload:
         self.unlock_op = {e: Operation.unlock(e) for e in self.pool}
         self.action_op = {e: Operation.action(e) for e in self.pool}
 
-    # ------------------------------------------------------------------
-    # draw-identical ports of the module-level helpers
-    # ------------------------------------------------------------------
-
     def _pick_entities(self, rng: random.Random) -> list[Entity]:
-        # Mirrors module-level _pick_entities. The linear accumulate
-        # scan becomes prefix sums + bisect: the prefix sums are the
-        # same left-to-right float additions the scan performed, and
-        # bisect_left finds the first index with ``point <=
-        # prefix[index]`` — the scan's stopping rule — so every pick
-        # (and every draw) is bit-identical.
+        # A weighted pick is a prefix-sum + bisect: bisect_left finds
+        # the first index with ``point <= prefix[index]``.
         pool = self.pool
         lo, hi = self.spec.entities_per_txn
         count = min(rng.randint(lo, hi), len(pool))
@@ -390,8 +248,7 @@ class CompiledWorkload:
     def _reference_sequence(
         self, rng: random.Random, entities: list[Entity]
     ) -> list[Operation]:
-        # Mirrors module-level _reference_sequence with precompiled
-        # Operation objects (reused — they are immutable).
+        """A legal total order over the chosen entities' operations."""
         spec = self.spec
         lo, hi = spec.actions_per_entity
         lock_op = self.lock_op
@@ -422,27 +279,31 @@ class CompiledWorkload:
             )
             return sequence
 
-        # Per-entity iterators replace the cursor dict: next() on a
-        # list iterator is one C call, and each chain is consumed
-        # exactly once in order — the same sequence the cursor walk
-        # produced.
+        # Random riffle of the per-entity chains: each chain is
+        # consumed in order by its own iterator.
         cursors = {entity: iter(chains[entity]) for entity in entities}
         remaining = [entity for entity in entities for _ in chains[entity]]
         rng.shuffle(remaining)
         return [next(cursors[entity]) for entity in remaining]
 
-    def generate(self, name: str, rng: random.Random) -> Transaction:
-        """One arrival's transaction; equal to ``random_transaction``'s.
+    def draw(
+        self, rng: random.Random, entities: list[Entity] | None = None
+    ) -> tuple[
+        list[Operation], list[tuple[int, int]], frozenset[Entity], list[str]
+    ]:
+        """One transaction's ``(ops, arcs, read_set, op_sites)``.
 
-        Given the same ``rng`` state, the result compares equal to
-        ``random_transaction(name, rng, self.schema, self.spec)`` —
-        ops, arcs, schema, read set, and site grouping included (the
-        property suite pins this).
+        Args:
+            rng: seeded randomness source.
+            entities: fix the accessed entities instead of sampling them.
         """
         spec = self.spec
-        accessed = self._pick_entities(rng)
+        accessed = self._pick_entities(rng) if entities is None else entities
         if not accessed:
             accessed = [rng.choice(self.pool)]
+        # Reads are drawn before the sequence so the RNG stream position
+        # is well defined; read_fraction == 0 draws nothing, which keeps
+        # all-write workloads independent of the read model.
         read_set: frozenset[Entity] = frozenset()
         if spec.read_fraction > 0:
             read_fraction = spec.read_fraction
@@ -452,15 +313,14 @@ class CompiledWorkload:
                 if rng.random() < read_fraction
             )
         sequence = self._reference_sequence(rng, list(accessed))
+        site_of = self.site_of
+        op_sites = [site_of[op.entity] for op in sequence]
 
         if spec.shape == "sequential":
             arcs = [(i, i + 1) for i in range(len(sequence) - 1)]
-            return Transaction.trusted(
-                name, sequence, arcs, self.schema, read_set
-            )
+            return sequence, arcs, read_set, op_sites
 
-        site_of = self.site_of
-        op_sites = [site_of[op.entity] for op in sequence]
+        # Per-site chains from the reference order.
         arcs = []
         append_arc = arcs.append
         last_at_site: dict[str, int] = {}
@@ -470,8 +330,8 @@ class CompiledWorkload:
                 append_arc((prev, index))
             last_at_site[site] = index
 
-        # Cross-site arcs: one draw per cross-site (u, v) pair, in
-        # (u, v) order — the draw sequence is workload identity.
+        # Extra cross-site arcs consistent with the reference order: one
+        # draw per cross-site (u, v) pair, in (u, v) order.
         cross_p = spec.cross_arc_p
         random_draw = rng.random
         n_ops = len(sequence)
@@ -481,10 +341,45 @@ class CompiledWorkload:
                 if site_u != op_sites[v] and random_draw() < cross_p:
                     append_arc((u, v))
 
+        # Shape-defining arcs (2PL closure, global lock chain).
         arcs.extend(_structural_arcs(spec, sequence))
+        return sequence, arcs, read_set, op_sites
+
+    def generate(self, name: str, rng: random.Random) -> Transaction:
+        """One arrival's transaction, built without re-validation."""
+        ops, arcs, read_set, op_sites = self.draw(rng)
         return Transaction.trusted(
-            name, sequence, arcs, self.schema, read_set, op_sites
+            name, ops, arcs, self.schema, read_set, op_sites
         )
+
+
+def _validated(
+    name: str,
+    compiled: CompiledWorkload,
+    rng: random.Random,
+    entities: list[Entity] | None = None,
+) -> Transaction:
+    ops, arcs, read_set, _ = compiled.draw(rng, entities)
+    return Transaction(name, ops, arcs, compiled.schema, read_set)
+
+
+def random_transaction(
+    name: str,
+    rng: random.Random,
+    schema: DatabaseSchema,
+    spec: WorkloadSpec,
+    entities: list[Entity] | None = None,
+) -> Transaction:
+    """Generate one random valid transaction over ``schema``.
+
+    Args:
+        name: transaction name.
+        rng: seeded randomness source.
+        schema: entity placement; accessed entities are drawn from it.
+        spec: workload parameters.
+        entities: fix the accessed entities instead of sampling them.
+    """
+    return _validated(name, CompiledWorkload(spec, schema), rng, entities)
 
 
 def random_system(
@@ -493,8 +388,9 @@ def random_system(
     """Generate a random transaction system per ``spec``."""
     spec = spec or WorkloadSpec()
     schema = random_schema(rng, spec.n_entities, spec.n_sites)
+    compiled = CompiledWorkload(spec, schema)
     transactions = [
-        random_transaction(f"T{i + 1}", rng, schema, spec)
+        _validated(f"T{i + 1}", compiled, rng)
         for i in range(spec.n_transactions)
     ]
     return TransactionSystem(transactions)

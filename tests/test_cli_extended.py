@@ -129,6 +129,27 @@ class TestBadInputIsOneLine:
             "repro simulate: commit_timeout must be > 0, got 0.0\n"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unknown_policy(self, broken_file, command):
+        argv = [command, "--policies", "nope"]
+        if command == "simulate":
+            argv.insert(1, broken_file)
+        proc = self._run(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "argument --policies: invalid choice: 'nope'" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command", ["analyze", "deadlock", "simulate", "trace"]
+    )
+    def test_missing_input_file(self, tmp_path, command):
+        path = tmp_path / "missing.txt"
+        proc = self._run(command, str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith(f"repro {command}: {path}: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestSimulateOpenSystem:
     ARGS = [

@@ -5,12 +5,16 @@ assertions check the headline facts each script demonstrates.
 """
 
 import importlib.util
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+from repro.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def run_example(name: str, capsys) -> str:
@@ -32,6 +36,33 @@ class TestQuickstart:
         out = run_example("quickstart", capsys)
         assert "safe and deadlock-free? False" in out
         assert "safe and deadlock-free now? True" in out
+
+
+def readme_commands_on(filename: str) -> list[list[str]]:
+    """Every ``python -m repro`` command line in README.md that names
+    ``filename``, continuation lines joined, as argv lists."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    prefix = "PYTHONPATH=src python -m repro "
+    commands = []
+    for line in text.splitlines():
+        if line.startswith(prefix):
+            argv = shlex.split(line[len(prefix):], comments=True)
+            if filename in argv:
+                commands.append(argv)
+    return commands
+
+
+class TestReadmeQuickStart:
+    def test_quick_start_analyzes_and_simulates_the_file(self):
+        commands = [argv[0] for argv in readme_commands_on("examples.txn")]
+        assert commands[:2] == ["analyze", "simulate"]
+
+    @pytest.mark.parametrize(
+        "argv", readme_commands_on("examples.txn"), ids=" ".join
+    )
+    def test_command_succeeds(self, argv, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert main(argv) == 0, capsys.readouterr().err
 
 
 class TestPaperTour:

@@ -75,6 +75,9 @@ class TestParse:
              "line 1: T: precedence arcs invalid"),
             ("txn T\n  seq Lx Ux\nend\ntxn T\n  seq Ly Uy\nend\n",
              "line 4: duplicate txn 'T'"),
+            ("schema s1: x\ntxn S\n  seq Lx Ux\nend\n"
+             "txn T\n  seq Lx Ux Ly Uy\nend\n",
+             "line 5: T: entity 'y' is on no schema line"),
         ],
     )
     def test_errors(self, bad, fragment):
